@@ -1,36 +1,20 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md for the experiment index), plus this repo's
-   own ablations and bechamel micro-benchmarks.
+   own ablations, gated grids and bechamel micro-benchmarks.
 
-   Usage:
-     dune exec bench/main.exe            -- run every section
-     dune exec bench/main.exe -- fig6    -- run one section
-   Sections: fig1 intro fig4 fig5 fig6 fig7 tightness ablation opflow
-   conjectures multiview multiview-par multiview-par-smoke astar
-   astar-smoke robust robust-smoke durable durable-smoke columnar
-   columnar-smoke serve serve-smoke serve-io serve-io-smoke ho ho-smoke
-   micro
+   Usage: dune exec bench/main.exe -- [FLAGS] [SECTION...].  The sections
+   are listed in [sections] at the bottom; with no SECTION every section
+   runs except the -smoke ones.
    Flags: --csv DIR (also write tables as CSV), --trace FILE.jsonl
    (telemetry trace), --metrics (print the metrics table at the end),
-   --domains 1,2,4 (domain counts swept by the parallel sections; the
-   astar grids abort with exit 1 if any domain count's optimal cost
-   diverges bit-wise from the first's)
+   --domains 1,2,4 (domain counts swept by the parallel sections).
 
-   The astar sections additionally write BENCH_astar.json (search-engine
-   scaling data), the robust sections BENCH_robust.json (drifted-stream
-   comparison), the durable sections BENCH_durable.json (WAL/checkpoint
-   overhead and recovery time), the multiview-par sections
-   BENCH_multiview.json (pooled coordinator + concurrent flush data), the
-   serve sections BENCH_serve.json (shared SLO scheduler vs independent
-   per-tenant ONLINE), the serve-io sections BENCH_serveio.json
-   (group-commit window fsync accounting, throughput vs per-tenant
-   Always WALs, off-thread checkpoint stall — each a hard gate) and the
-   ho sections BENCH_ho.json (first-order vs
-   higher-order cost curves and re-derived planner bounds) to
-   the working directory, each stamped with a "meta" block (commit,
-   ocaml_version, domains swept, host cores); the -smoke variants are
-   tiny grids wired to the @bench-smoke alias so the bench binary cannot
-   rot. *)
+   The gated sections each write one BENCH_*.json to the working
+   directory through {!Grid}: a meta stamp (commit, ocaml_version, domains
+   swept, host cores), the section's data, and a "gates" object whose
+   "failed" list is empty on a passing run; any failed gate exits 1 after
+   the file is written.  The -smoke variants are tiny grids run by the
+   @bench-smoke alias, so the bench binary and its gates cannot rot. *)
 
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
@@ -53,30 +37,13 @@ let emit ~name ?aligns ~header rows =
 let tpcr_scale = 0.05
 let base_seed = 42
 
-(* Domain counts swept by the parallel sections (astar grids, multiview-par)
-   and the fan-out width for scenario-parallel sections; --domains overrides. *)
-let bench_domains : int list ref = ref [ 1; 2; 4 ]
-let fanout_domains () = List.fold_left max 1 !bench_domains
+let fanout_domains () = List.fold_left max 1 !Grid.domains
 
-(* Run metadata stamped into every BENCH_*.json so the perf trajectory is
-   comparable across PRs and machines. *)
-let git_commit =
-  lazy
-    (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-       let line = try input_line ic with End_of_file -> "" in
-       match Unix.close_process_in ic with
-       | Unix.WEXITED 0 when line <> "" -> line
-       | _ -> "unknown"
-     with _ -> "unknown")
+module J = Telemetry.Jsonx
 
-let meta_json () =
-  Printf.sprintf
-    "\"meta\": { \"commit\": %S, \"ocaml_version\": %S, \"domains\": [%s], \
-     \"host_cores\": %d }"
-    (Lazy.force git_commit) Sys.ocaml_version
-    (String.concat ", " (List.map string_of_int !bench_domains))
-    (Domain.recommended_domain_count ())
+(* A measured cost curve as [[k, cost], ...]. *)
+let curve_points curve =
+  J.arr (List.map (fun (k, c) -> J.arr [ J.int k; J.num c ]) curve)
 
 (* The batch sizes swept for the cost-curve figures. *)
 let curve_sizes = [ 1; 2; 5; 10; 20; 50; 100; 200; 400; 600; 800; 1000 ]
@@ -651,7 +618,8 @@ let run_multiview () =
    share one {!Relation.Meter}, flushes them concurrently, and asserts the
    merged sharded counters equal the sequential totals bit-for-bit. *)
 let run_multiview_par_grid ~name ~horizon ~rows ~steps () =
-  let domains_list = !bench_domains in
+  let domains_list = !Grid.domains in
+  let g = Grid.create ~grid:name "BENCH_multiview.json" in
   section
     (Printf.sprintf
        "Parallel multiview (%s grid) — pooled coordinator + concurrent \
@@ -691,20 +659,13 @@ let run_multiview_par_grid ~name ~horizon ~rows ~steps () =
     List.map
       (fun domains ->
         Parallel.Pool.with_pool ~domains (fun pool ->
-            let t0 = Unix.gettimeofday () in
-            let out =
-              Multiview.Coordinator.independent ~pool ~views ~shared_setup
-                ~arrivals ()
+            let out, wall_ms =
+              Grid.timed (fun () ->
+                  Multiview.Coordinator.independent ~pool ~views ~shared_setup
+                    ~arrivals ())
             in
-            let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-            if not (outcomes_equal seq_outcome out) then begin
-              Printf.eprintf
-                "FAIL: pooled coordinator (domains=%d) diverged from the \
-                 sequential outcome\n"
-                domains;
-              exit 1
-            end;
-            (domains, wall_ms, out.Multiview.Coordinator.total_cost)))
+            ( domains, wall_ms, out.Multiview.Coordinator.total_cost,
+              outcomes_equal seq_outcome out )))
       domains_list
   in
   (* Part 2: concurrent engine flushes over one shared meter. *)
@@ -730,11 +691,12 @@ let run_multiview_par_grid ~name ~horizon ~rows ~steps () =
       done;
       ignore (Ivm.Maintainer.refresh m)
     in
-    let t0 = Unix.gettimeofday () in
-    (match pool_opt with
-    | Some pool -> ignore (Parallel.Pool.map pool work engines)
-    | None -> Array.iter work engines);
-    let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+    let (), wall_ms =
+      Grid.timed (fun () ->
+          match pool_opt with
+          | Some pool -> ignore (Parallel.Pool.map pool work engines)
+          | None -> Array.iter work engines)
+    in
     (Relation.Meter.snapshot shared, wall_ms)
   in
   let seq_snap, seq_flush_ms = flush_views None in
@@ -743,16 +705,19 @@ let run_multiview_par_grid ~name ~horizon ~rows ~steps () =
       (fun domains ->
         Parallel.Pool.with_pool ~domains (fun pool ->
             let snap, wall_ms = flush_views (Some pool) in
-            if snap <> seq_snap then begin
-              Printf.eprintf
-                "FAIL: concurrent flush (domains=%d) meter totals diverged \
-                 from the sequential totals\n"
-                domains;
-              exit 1
-            end;
-            (domains, wall_ms)))
+            (domains, wall_ms, snap = seq_snap)))
       domains_list
   in
+  (* Every pooled run must equal the sequential one bit-for-bit. *)
+  let gate_runs name runs =
+    let bad = List.filter_map (fun (d, ok) -> if ok then None else Some d) runs in
+    Grid.gate g name (bad = [])
+      (Printf.sprintf "diverged at domains [%s]"
+         (String.concat "," (List.map string_of_int bad)))
+  in
+  gate_runs "coordinator_matches_sequential"
+    (List.map (fun (d, _, _, ok) -> (d, ok)) coord_runs);
+  gate_runs "flush_totals_match" (List.map (fun (d, _, ok) -> (d, ok)) flush_runs);
   emit
     ~name:("multiview_par_" ^ name)
     ~aligns:(List.init 5 (fun _ -> Util.Tablefmt.Right))
@@ -760,42 +725,42 @@ let run_multiview_par_grid ~name ~horizon ~rows ~steps () =
       [ "domains"; "coordinator (ms)"; "total cost"; "flush 4 views (ms)";
         "meter totals" ]
     (List.map2
-       (fun (domains, coord_ms, total_cost) (_, flush_ms) ->
+       (fun (domains, coord_ms, total_cost, _) (_, flush_ms, ok) ->
          [
            string_of_int domains;
            fcell ~decimals:1 coord_ms;
            fcell ~decimals:0 total_cost;
            fcell ~decimals:1 flush_ms;
-           "match";
+           (if ok then "match" else "DIVERGED");
          ])
        coord_runs flush_runs);
-  Printf.printf
-    "sequential flush of the same 4 views: %.1f ms; every pooled run's \
-     shared-meter snapshot equals the sequential one bit-for-bit\n"
-    seq_flush_ms;
-  (* Machine-readable copy for regression tracking across PRs. *)
-  let path = "BENCH_multiview.json" in
-  let oc = open_out path in
-  let coord_entry (domains, wall_ms, total_cost) =
-    Printf.sprintf
-      "    { \"domains\": %d, \"wall_ms\": %.3f, \"total_cost\": %.6f, \
-       \"matches_sequential\": true }"
-      domains wall_ms total_cost
-  in
-  let flush_entry (domains, wall_ms) =
-    Printf.sprintf
-      "    { \"domains\": %d, \"wall_ms\": %.3f, \"totals_match\": true }"
-      domains wall_ms
-  in
-  Printf.fprintf oc
-    "{\n  \"grid\": \"%s\",\n  %s,\n  \"views\": 4,\n  \
-     \"sequential_flush_wall_ms\": %.3f,\n  \"coordinator\": [\n%s\n  ],\n  \
-     \"flush\": [\n%s\n  ]\n}\n"
-    name (meta_json ()) seq_flush_ms
-    (String.concat ",\n" (List.map coord_entry coord_runs))
-    (String.concat ",\n" (List.map flush_entry flush_runs));
-  close_out oc;
-  Printf.printf "(written to %s)\n" path
+  Printf.printf "sequential flush of the same 4 views: %.1f ms\n" seq_flush_ms;
+  Grid.finish g
+    [
+      ("views", J.int 4);
+      ("sequential_flush_wall_ms", J.num seq_flush_ms);
+      ( "coordinator",
+        J.arr
+          (List.map
+             (fun (domains, wall_ms, total_cost, ok) ->
+               J.obj
+                 [
+                   ("domains", J.int domains); ("wall_ms", J.num wall_ms);
+                   ("total_cost", J.num total_cost);
+                   ("matches_sequential", string_of_bool ok);
+                 ])
+             coord_runs) );
+      ( "flush",
+        J.arr
+          (List.map
+             (fun (domains, wall_ms, ok) ->
+               J.obj
+                 [
+                   ("domains", J.int domains); ("wall_ms", J.num wall_ms);
+                   ("totals_match", string_of_bool ok);
+                 ])
+             flush_runs) );
+    ]
 
 let run_multiview_par () =
   run_multiview_par_grid ~name:"reference" ~horizon:1000 ~rows:1200 ~steps:400
@@ -821,7 +786,8 @@ let astar_grid_spec ~tables ~horizon =
   Abivm.Spec.make ~costs ~limit ~arrivals
 
 let run_astar_grid ~name grid =
-  let domains_list = !bench_domains in
+  let domains_list = !Grid.domains in
+  let g = Grid.create ~grid:name "BENCH_astar.json" in
   section
     (Printf.sprintf
        "A* engine scaling (%s grid) — sequential vs HDA* at domains in {%s}"
@@ -833,16 +799,13 @@ let run_astar_grid ~name grid =
         let spec = astar_grid_spec ~tables ~horizon in
         List.map
           (fun domains ->
-            let t0 = Unix.gettimeofday () in
-            let r = Abivm.Astar.solve ~domains spec in
-            let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+            let r, wall_ms = Grid.timed (fun () -> Abivm.Astar.solve ~domains spec) in
             (tables, horizon, domains, r, wall_ms))
           domains_list)
       grid
   in
   (* Every domain count must agree bit-for-bit on the optimal cost; a
-     divergence is a sharding bug and fails the whole bench run (CI keys
-     off this exit code). *)
+     divergence is a sharding bug. *)
   List.iter
     (fun (gt, gh) ->
       let costs =
@@ -851,19 +814,14 @@ let run_astar_grid ~name grid =
             if t = gt && h = gh then Some (d, r.Abivm.Astar.cost) else None)
           results
       in
-      match costs with
-      | (d0, c0) :: rest ->
-          List.iter
-            (fun (d, c) ->
-              if Int64.bits_of_float c <> Int64.bits_of_float c0 then begin
-                Printf.eprintf
-                  "FAIL: tables=%d horizon=%d: %d-domain cost %.17g diverges \
-                   from %d-domain cost %.17g\n"
-                  gt gh d c d0 c0;
-                exit 1
-              end)
-            rest
-      | [] -> ())
+      let c0 = snd (List.hd costs) in
+      Grid.gate g
+        (Printf.sprintf "cost_bits_equal_t%d_h%d" gt gh)
+        (List.for_all
+           (fun (_, c) -> Int64.bits_of_float c = Int64.bits_of_float c0)
+           costs)
+        (String.concat ", "
+           (List.map (fun (d, c) -> Printf.sprintf "%d: %.17g" d c) costs)))
     grid;
   let wall_at_one gt gh =
     List.find_map
@@ -894,25 +852,21 @@ let run_astar_grid ~name grid =
            | _ -> "-");
          ])
        results);
-  (* Machine-readable copy for regression tracking across PRs. *)
-  let path = "BENCH_astar.json" in
-  let oc = open_out path in
   let entry (tables, horizon, domains, (r : Abivm.Astar.result), wall_ms) =
     let s = r.Abivm.Astar.stats in
-    Printf.sprintf
-      "    { \"tables\": %d, \"horizon\": %d, \"domains\": %d, \"cost\": \
-       %.6f, \"expanded\": %d, \"generated\": %d, \"reopened\": %d, \
-       \"pruned\": %d, \"queue_peak\": %d, \"live_peak\": %d, \"wall_ms\": \
-       %.3f }"
-      tables horizon domains r.Abivm.Astar.cost s.Abivm.Astar.expanded
-      s.Abivm.Astar.generated s.Abivm.Astar.reopened s.Abivm.Astar.pruned
-      s.Abivm.Astar.max_queue s.Abivm.Astar.max_live wall_ms
+    J.obj
+      [
+        ("tables", J.int tables); ("horizon", J.int horizon);
+        ("domains", J.int domains); ("cost", J.num r.Abivm.Astar.cost);
+        ("expanded", J.int s.Abivm.Astar.expanded);
+        ("generated", J.int s.Abivm.Astar.generated);
+        ("reopened", J.int s.Abivm.Astar.reopened);
+        ("pruned", J.int s.Abivm.Astar.pruned);
+        ("queue_peak", J.int s.Abivm.Astar.max_queue);
+        ("live_peak", J.int s.Abivm.Astar.max_live); ("wall_ms", J.num wall_ms);
+      ]
   in
-  Printf.fprintf oc "{\n  \"grid\": \"%s\",\n  %s,\n  \"runs\": [\n%s\n  ]\n}\n"
-    name (meta_json ())
-    (String.concat ",\n" (List.map entry results));
-  close_out oc;
-  Printf.printf "(written to %s)\n" path
+  Grid.finish g [ ("runs", J.arr (List.map entry results)) ]
 
 let astar_reference_grid =
   [ (2, 60); (2, 240); (4, 60); (4, 240); (6, 30); (6, 60) ]
@@ -938,6 +892,7 @@ let robust_streams =
    on constraint violations), the monitored replanner of Robust.Replan,
    and ONLINE given the true costs as an adaptive reference point. *)
 let run_robust_grid ~name ~costs ~limit ~horizon ~t0 () =
+  let g = Grid.create ~grid:name "BENCH_robust.json" in
   section
     (Printf.sprintf
        "Robustness (%s grid) — static ADAPT vs replanning ADAPT vs ONLINE \
@@ -993,29 +948,27 @@ let run_robust_grid ~name ~costs ~limit ~horizon ~t0 () =
            fcell ~decimals:0 online_cost;
          ])
        results);
-  (* Machine-readable copy for regression tracking across PRs. *)
-  let path = "BENCH_robust.json" in
-  let oc = open_out path in
-  let entry (label, static_cost, static_rescues,
-             (re : Robust.Replan.result), online_cost) =
-    Printf.sprintf
-      "    { \"stream\": %S, \"static_cost\": %.6f, \"static_rescues\": %d, \
-       \"replan_cost\": %.6f, \"replan_rescues\": %d, \"replans\": %d, \
-       \"drift_peak\": %.4f, \"online_cost\": %.6f }"
-      label static_cost static_rescues re.Robust.Replan.cost
-      re.Robust.Replan.rescues re.Robust.Replan.replans
-      re.Robust.Replan.drift_peak online_cost
-  in
-  Printf.fprintf oc
-    "{\n  \"grid\": \"%s\",\n  %s,\n  \"horizon\": %d,\n  \"t0\": %d,\n  \
-     \"runs\": [\n%s\n  ]\n}\n"
-    name (meta_json ()) horizon t0
-    (String.concat ",\n" (List.map entry results));
-  close_out oc;
-  Printf.printf "(written to %s)\n" path;
   print_endline
     "shape check: replanning ADAPT should match or beat static ADAPT with \
-     fewer rescue flushes on every stream"
+     fewer rescue flushes on every stream";
+  let entry (label, static_cost, static_rescues,
+             (re : Robust.Replan.result), online_cost) =
+    J.obj
+      [
+        ("stream", J.str label); ("static_cost", J.num static_cost);
+        ("static_rescues", J.int static_rescues);
+        ("replan_cost", J.num re.Robust.Replan.cost);
+        ("replan_rescues", J.int re.Robust.Replan.rescues);
+        ("replans", J.int re.Robust.Replan.replans);
+        ("drift_peak", J.num re.Robust.Replan.drift_peak);
+        ("online_cost", J.num online_cost);
+      ]
+  in
+  Grid.finish g
+    [
+      ("horizon", J.int horizon); ("t0", J.int t0);
+      ("runs", J.arr (List.map entry results));
+    ]
 
 let run_robust () =
   let limit = fig6_limit () *. 20.0 /. 12.0 in
@@ -1029,16 +982,6 @@ let run_robust_smoke () =
   run_robust_grid ~name:"smoke" ~costs ~limit:10.0 ~horizon:60 ~t0:20 ()
 
 (* --- durability: WAL + checkpoint overhead, recovery time --------------------- *)
-
-let rec rmtree path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter
-        (fun entry -> rmtree (Filename.concat path entry))
-        (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
 
 let durable_scratch = "_durable_bench"
 
@@ -1077,11 +1020,6 @@ let durable_env ~rows ~join_domain ~horizon =
   in
   { Durable.Exec.fresh; view_of; spec; plan; params = [] }
 
-let durable_sync_label = function
-  | Durable.Wal.Always -> "always"
-  | Durable.Wal.Never -> "never"
-  | Durable.Wal.Interval n -> Printf.sprintf "interval:%d" n
-
 (* (label, segment_bytes, ckpt_actions, sync) *)
 let durable_configs =
   [
@@ -1091,18 +1029,8 @@ let durable_configs =
     ("big-segments", 1024 * 1024, 256, Durable.Wal.Interval 32);
   ]
 
-let time_best ~repeat f =
-  let best = ref infinity and out = ref None in
-  for _ = 1 to repeat do
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-    if wall_ms < !best then best := wall_ms;
-    out := Some v
-  done;
-  (Option.get !out, !best)
-
 let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
+  let g = Grid.create ~grid:name "BENCH_durable.json" in
   section
     (Printf.sprintf
        "Durability (%s grid) — steady-state WAL/checkpoint overhead and \
@@ -1115,7 +1043,7 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
       (Bridge.Runner.engine ~maintainer:m ~feeds)
       env.Durable.Exec.spec env.Durable.Exec.plan
   in
-  let report, baseline_ms = time_best ~repeat baseline in
+  let report, baseline_ms = Grid.best_of ~repeat (fun () -> Grid.timed baseline) in
   let baseline_cost =
     Option.value ~default:Float.nan report.Abivm.Report.cost_units
   in
@@ -1123,7 +1051,7 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
     "SS workload, %d rows/table, T = %d; WAL-off baseline: %.1f ms, %.2f \
      cost units (best of %d)\n"
     rows horizon baseline_ms baseline_cost repeat;
-  rmtree durable_scratch;
+  Grid.rmtree durable_scratch;
   Unix.mkdir durable_scratch 0o755;
   let results =
     List.map
@@ -1135,7 +1063,7 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
             Filename.concat durable_scratch
               (Printf.sprintf "%s-%s-%d" name label !counter)
           in
-          rmtree dir;
+          Grid.rmtree dir;
           let config =
             {
               (Durable.Exec.default_config ~dir) with
@@ -1146,20 +1074,24 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
           in
           (config, Durable.Exec.run config env)
         in
-        let (config, outcome), wall_ms = time_best ~repeat run_once in
+        let (config, outcome), wall_ms =
+          Grid.best_of ~repeat (fun () -> Grid.timed run_once)
+        in
         (* Recovery: reopen the finished run from disk, restore the latest
            checkpoint, replay the WAL tail, deep-check the view. *)
-        let (), recovery_ms =
-          time_best ~repeat:1 (fun () ->
-              match Durable.Exec.verify config env with
-              | Ok _ -> ()
-              | Error e -> failwith ("durable grid: verify: " ^ e))
+        let verified, recovery_ms =
+          Grid.timed (fun () -> Durable.Exec.verify config env)
         in
+        Grid.gate g ("recovered_" ^ label) (Result.is_ok verified)
+          (match verified with Ok _ -> "view verified" | Error e -> e);
         let overhead_pct = 100.0 *. (wall_ms -. baseline_ms) /. baseline_ms in
         let cost_match =
           Int64.bits_of_float outcome.Durable.Exec.total_cost
           = Int64.bits_of_float baseline_cost
         in
+        Grid.gate g ("cost_matches_baseline_" ^ label) cost_match
+          (Printf.sprintf "%.17g vs baseline %.17g"
+             outcome.Durable.Exec.total_cost baseline_cost);
         ( label, segment_bytes, ckpt_actions, sync, wall_ms, overhead_pct,
           recovery_ms, outcome, cost_match ))
       durable_configs
@@ -1177,7 +1109,7 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
              recovery_ms, (o : Durable.Exec.outcome), cost_match) ->
          [
            label;
-           durable_sync_label sync;
+           Durable.Wal.sync_to_string sync;
            string_of_int (segment_bytes / 1024);
            string_of_int ckpt_actions;
            fcell ~decimals:1 wall_ms;
@@ -1187,28 +1119,6 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
            string_of_bool cost_match;
          ])
        results);
-  (* Machine-readable copy for regression tracking across PRs. *)
-  let path = "BENCH_durable.json" in
-  let oc = open_out path in
-  let entry (label, segment_bytes, ckpt_actions, sync, wall_ms, overhead_pct,
-             recovery_ms, (o : Durable.Exec.outcome), cost_match) =
-    Printf.sprintf
-      "    { \"config\": %S, \"sync\": %S, \"segment_bytes\": %d, \
-       \"ckpt_actions\": %d, \"wall_ms\": %.3f, \"overhead_pct\": %.2f, \
-       \"recovery_ms\": %.3f, \"wal_records\": %d, \"checkpoints\": %d, \
-       \"cost_units\": %.6f, \"cost_matches_baseline\": %b }"
-      label (durable_sync_label sync) segment_bytes ckpt_actions wall_ms
-      overhead_pct recovery_ms o.Durable.Exec.lsn o.Durable.Exec.checkpoints
-      o.Durable.Exec.total_cost cost_match
-  in
-  Printf.fprintf oc
-    "{\n  \"grid\": \"%s\",\n  %s,\n  \"rows\": %d,\n  \"horizon\": %d,\n  \
-     \"baseline_wall_ms\": %.3f,\n  \"baseline_cost_units\": %.6f,\n  \
-     \"runs\": [\n%s\n  ]\n}\n"
-    name (meta_json ()) rows horizon baseline_ms baseline_cost
-    (String.concat ",\n" (List.map entry results));
-  close_out oc;
-  Printf.printf "(written to %s)\n" path;
   let best_label, _, _, _, _, best_overhead, _, _, _ =
     List.fold_left
       (fun (( _, _, _, _, _, acc_overhead, _, _, _ ) as acc) candidate ->
@@ -1217,11 +1127,30 @@ let run_durable_grid ~name ~rows ~join_domain ~horizon ~repeat () =
       (List.hd results) (List.tl results)
   in
   Printf.printf
-    "shape check: every config's engine cost must equal the baseline \
-     bit-for-bit, and the best config (%s, %.1f%% overhead) should stay \
-     within the 25%% steady-state budget\n"
+    "shape check: the best config (%s, %.1f%% overhead) should stay within \
+     the 25%% steady-state budget\n"
     best_label best_overhead;
-  rmtree durable_scratch
+  Grid.rmtree durable_scratch;
+  let entry (label, segment_bytes, ckpt_actions, sync, wall_ms, overhead_pct,
+             recovery_ms, (o : Durable.Exec.outcome), cost_match) =
+    J.obj
+      [
+        ("config", J.str label); ("sync", J.str (Durable.Wal.sync_to_string sync));
+        ("segment_bytes", J.int segment_bytes); ("ckpt_actions", J.int ckpt_actions);
+        ("wall_ms", J.num wall_ms); ("overhead_pct", J.num overhead_pct);
+        ("recovery_ms", J.num recovery_ms); ("wal_records", J.int o.Durable.Exec.lsn);
+        ("checkpoints", J.int o.Durable.Exec.checkpoints);
+        ("cost_units", J.num o.Durable.Exec.total_cost);
+        ("cost_matches_baseline", string_of_bool cost_match);
+      ]
+  in
+  Grid.finish g
+    [
+      ("rows", J.int rows); ("horizon", J.int horizon);
+      ("baseline_wall_ms", J.num baseline_ms);
+      ("baseline_cost_units", J.num baseline_cost);
+      ("runs", J.arr (List.map entry results));
+    ]
 
 let run_durable () =
   run_durable_grid ~name:"reference" ~rows:2500 ~join_domain:25 ~horizon:1000 ~repeat:3 ()
@@ -1304,8 +1233,8 @@ let run_micro () =
    application, the pre-columnar row-at-a-time expand loop (boxed hash of
    the delta keys probed once per materialized scan row) vs the maintainer's
    vectorized scan_batches/Ihash probe over the raw int column.  Both sides
-   of each pair produce the same row counts; the JSON records the speedups
-   the acceptance bar checks (>= 3x). *)
+   of each pair must produce the same row counts, and the vectorized side
+   must clear the 3x acceptance bar on both kernels. *)
 
 (* Join keys span rows/4 distinct values (~4 partner rows per key), the
    sparse-probe regime delta application runs in. *)
@@ -1337,12 +1266,11 @@ let time_ms f =
   (* settle the heap first: the boxed kernels allocate heavily, and major
      GC debt from one measurement would otherwise bleed into the next *)
   Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, 1000.0 *. (Unix.gettimeofday () -. t0))
+  Grid.timed f
 
 let run_columnar_grid ~name ~rows ~deltas ~repeat () =
   let open Relation in
+  let g = Grid.create ~grid:name "BENCH_columnar.json" in
   section
     (Printf.sprintf
        "Columnar engine: boxed vs vectorized (%s grid; %d rows, %d deltas, \
@@ -1382,11 +1310,6 @@ let run_columnar_grid ~name ~rows ~deltas ~repeat () =
             in
             loop ()))
   in
-  if boxed_rows <> vec_rows then
-    failwith
-      (Printf.sprintf "columnar bench: scan row mismatch (%d boxed vs %d vec)"
-         boxed_rows vec_rows);
-  let scan_speedup = boxed_scan_ms /. vec_scan_ms in
   (* -- delta application ---------------------------------------------------- *)
   (* Delta keys hitting ~deltas/1000 of the key domain, as the maintainer
      sees when a batch of updates joins an unindexed partner table. *)
@@ -1439,47 +1362,48 @@ let run_columnar_grid ~name ~rows ~deltas ~repeat () =
                 done);
             !n))
   in
-  if boxed_matches <> vec_matches then
-    failwith
-      (Printf.sprintf "columnar bench: delta match mismatch (%d boxed vs %d vec)"
-         boxed_matches vec_matches);
-  let delta_speedup = boxed_delta_ms /. vec_delta_ms in
+  let kernels =
+    [
+      ("scan_predicate", boxed_scan_ms, vec_scan_ms, boxed_rows, vec_rows);
+      ("delta_apply", boxed_delta_ms, vec_delta_ms, boxed_matches, vec_matches);
+    ]
+  in
+  let speedup (_, boxed_ms, vec_ms, _, _) = boxed_ms /. vec_ms in
   emit ~name:("columnar_" ^ name)
     ~aligns:
       [ Util.Tablefmt.Left; Util.Tablefmt.Right; Util.Tablefmt.Right;
         Util.Tablefmt.Right; Util.Tablefmt.Right ]
     ~header:[ "kernel"; "boxed (ms)"; "vectorized (ms)"; "speedup"; "rows out" ]
+    (List.map
+       (fun ((kernel, boxed_ms, vec_ms, _, rows) as k) ->
+         [
+           kernel; fcell ~decimals:2 boxed_ms; fcell ~decimals:2 vec_ms;
+           fcell ~decimals:2 (speedup k); string_of_int rows;
+         ])
+       kernels);
+  List.iter
+    (fun ((kernel, _, _, boxed_rows, vec_rows) as k) ->
+      Grid.gate g (kernel ^ "_rows_match") (boxed_rows = vec_rows)
+        (Printf.sprintf "%d boxed vs %d vectorized" boxed_rows vec_rows);
+      Grid.gate g ~value:(J.num (speedup k)) (kernel ^ "_speedup")
+        (speedup k >= 3.0)
+        (Printf.sprintf "%.2fx, bar 3x" (speedup k)))
+    kernels;
+  Grid.finish g
     [
-      [
-        "scan+predicate"; fcell ~decimals:2 boxed_scan_ms;
-        fcell ~decimals:2 vec_scan_ms; fcell ~decimals:2 scan_speedup;
-        string_of_int vec_rows;
-      ];
-      [
-        "delta-apply"; fcell ~decimals:2 boxed_delta_ms;
-        fcell ~decimals:2 vec_delta_ms; fcell ~decimals:2 delta_speedup;
-        string_of_int vec_matches;
-      ];
-    ];
-  let path = "BENCH_columnar.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"grid\": \"%s\",\n  %s,\n  \"rows\": %d,\n  \"deltas\": %d,\n  \
-     \"repeat\": %d,\n  \"runs\": [\n\
-    \    { \"kernel\": \"scan_predicate\", \"boxed_ms\": %.3f, \
-     \"vectorized_ms\": %.3f, \"speedup\": %.3f, \"rows_out\": %d },\n\
-    \    { \"kernel\": \"delta_apply\", \"boxed_ms\": %.3f, \
-     \"vectorized_ms\": %.3f, \"speedup\": %.3f, \"rows_out\": %d }\n\
-    \  ]\n}\n"
-    name (meta_json ()) rows deltas repeat boxed_scan_ms vec_scan_ms
-    scan_speedup vec_rows boxed_delta_ms vec_delta_ms delta_speedup vec_matches;
-  close_out oc;
-  Printf.printf "(written to %s)\n" path;
-  Printf.printf
-    "shape check: both kernels must report identical row counts across \
-     paths, and the vectorized side should clear the 3x acceptance bar \
-     (measured: scan %.1fx, delta %.1fx)\n"
-    scan_speedup delta_speedup
+      ("rows", J.int rows); ("deltas", J.int deltas); ("repeat", J.int repeat);
+      ( "runs",
+        J.arr
+          (List.map
+             (fun ((kernel, boxed_ms, vec_ms, _, rows) as k) ->
+               J.obj
+                 [
+                   ("kernel", J.str kernel); ("boxed_ms", J.num boxed_ms);
+                   ("vectorized_ms", J.num vec_ms); ("speedup", J.num (speedup k));
+                   ("rows_out", J.int rows);
+                 ])
+             kernels) );
+    ]
 
 let run_columnar () =
   run_columnar_grid ~name:"reference" ~rows:400_000 ~deltas:2_000 ~repeat:3 ()
@@ -1498,26 +1422,29 @@ let run_columnar_smoke () =
    discount.  The shared scheduler must still meet every tenant's
    constraint — the worst violation rate may not regress — at an
    aggregate charged cost no higher than the independent runs'. *)
-let rec bench_rmtree path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter
-        (fun entry -> bench_rmtree (Filename.concat path entry))
-        (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
 
-let run_serve_grid ~name ~tenants ~rows ~horizon ~limit_factor () =
-  section
-    (Printf.sprintf
-       "Serve (%s grid) — shared SLO scheduler vs independent per-tenant \
-        ONLINE (%d tenants, %d rows, horizon %d)"
-       name tenants rows horizon);
-  let tenant_cfgs =
-    List.init tenants (fun i ->
+(* The serve and serve-io fleets: [tenants] first-order tenants on
+   slow-stable streams, all admitted up front into a fresh [root]. *)
+let fleet_service ~root ~tenants ~rows ~horizon ~limit_factor config =
+  Grid.rmtree root;
+  let svc =
+    Serve.Service.create ~root
+      {
+        config with
+        Serve.Service.admission =
+          {
+            Serve.Admission.max_active = tenants;
+            max_queued = tenants;
+            max_delta_entries = max_int;
+          };
+      }
+  in
+  for i = 0 to tenants - 1 do
+    let name = Printf.sprintf "t%d" i in
+    match
+      Serve.Service.register svc
         {
-          Serve.Tenant.name = Printf.sprintf "t%d" i;
+          Serve.Tenant.name;
           seed = base_seed + (10 * i);
           rows;
           horizon;
@@ -1525,59 +1452,52 @@ let run_serve_grid ~name ~tenants ~rows ~horizon ~limit_factor () =
           streams = [ "ss"; "ss" ];
           order = Ivm.Viewdef.First_order;
           sync = None;
-        })
-  in
-  let run_mode ~coordinate =
-    let root =
+        }
+    with
+    | Ok Serve.Admission.Admit -> ()
+    | Ok d ->
+        failwith
+          ("tenant " ^ name ^ " not admitted: " ^ Serve.Admission.describe d)
+    | Error e -> failwith ("tenant " ^ name ^ ": " ^ e)
+  done;
+  svc
+
+(* A scratch root under the temp dir, unique to this process. *)
+let bench_root fmt =
+  Printf.ksprintf
+    (fun s ->
       Filename.concat
         (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abivm-bench-serve-%d-%s-%b" (Unix.getpid ()) name
-           coordinate)
+        (Printf.sprintf "abivm-bench-%d-%s" (Unix.getpid ()) s))
+    fmt
+
+let run_serve_grid ~name ~tenants ~rows ~horizon ~limit_factor () =
+  let g = Grid.create ~grid:name "BENCH_serve.json" in
+  section
+    (Printf.sprintf
+       "Serve (%s grid) — shared SLO scheduler vs independent per-tenant \
+        ONLINE (%d tenants, %d rows, horizon %d)"
+       name tenants rows horizon);
+  let run_mode label ~coordinate =
+    let root = bench_root "serve-%s-%b" name coordinate in
+    let svc =
+      fleet_service ~root ~tenants ~rows ~horizon ~limit_factor
+        { Serve.Service.default_config with coordinate; discount_factor = 0.8 }
     in
-    bench_rmtree root;
-    let config =
-      {
-        Serve.Service.default_config with
-        admission =
-          {
-            Serve.Admission.max_active = tenants;
-            max_queued = tenants;
-            max_delta_entries = max_int;
-          };
-        coordinate;
-        discount_factor = 0.8;
-      }
+    let outcome, wall_ms = Grid.timed (fun () -> Serve.Service.run svc) in
+    Grid.rmtree root;
+    let inconsistent =
+      List.filter_map
+        (fun (t : Serve.Service.tenant_outcome) ->
+          if t.Serve.Service.consistent then None else Some t.Serve.Service.tenant)
+        outcome.Serve.Service.tenants
     in
-    let svc = Serve.Service.create ~root config in
-    List.iter
-      (fun cfg ->
-        match Serve.Service.register svc cfg with
-        | Ok Serve.Admission.Admit -> ()
-        | Ok d ->
-            Printf.eprintf "FAIL: tenant %s not admitted (%s)\n"
-              cfg.Serve.Tenant.name
-              (Serve.Admission.describe d);
-            exit 1
-        | Error e ->
-            Printf.eprintf "FAIL: tenant %s: %s\n" cfg.Serve.Tenant.name e;
-            exit 1)
-      tenant_cfgs;
-    let t0 = Unix.gettimeofday () in
-    let outcome = Serve.Service.run svc in
-    let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-    bench_rmtree root;
-    List.iter
-      (fun (t : Serve.Service.tenant_outcome) ->
-        if not t.Serve.Service.consistent then begin
-          Printf.eprintf "FAIL: tenant %s finished inconsistent\n"
-            t.Serve.Service.tenant;
-          exit 1
-        end)
-      outcome.Serve.Service.tenants;
+    Grid.gate g (label ^ "_tenants_consistent") (inconsistent = [])
+      ("inconsistent: [" ^ String.concat "," inconsistent ^ "]");
     (outcome, wall_ms)
   in
-  let indep, indep_ms = run_mode ~coordinate:false in
-  let shared, shared_ms = run_mode ~coordinate:true in
+  let indep, indep_ms = run_mode "independent" ~coordinate:false in
+  let shared, shared_ms = run_mode "shared" ~coordinate:true in
   let row label (o : Serve.Service.outcome) wall_ms =
     [
       label;
@@ -1609,56 +1529,50 @@ let run_serve_grid ~name ~tenants ~rows ~horizon ~limit_factor () =
     (100.0 -. savings)
     shared.Serve.Service.worst_violation_rate
     indep.Serve.Service.worst_violation_rate;
-  if
-    shared.Serve.Service.aggregate_charged
-    > indep.Serve.Service.aggregate_charged +. 1e-6
-  then begin
-    Printf.eprintf
-      "FAIL: shared scheduler charged more than independent ONLINE\n";
-    exit 1
-  end;
-  if
-    shared.Serve.Service.worst_violation_rate
-    > indep.Serve.Service.worst_violation_rate +. 1e-12
-  then begin
-    Printf.eprintf
-      "FAIL: shared scheduler regressed the worst tenant's SLO\n";
-    exit 1
-  end;
-  (* Machine-readable copy for regression tracking across PRs. *)
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  let mode_json label (o : Serve.Service.outcome) wall_ms =
-    Printf.sprintf
-      "  \"%s\": {\n    \"aggregate_charged\": %.6f,\n    \
-       \"aggregate_undiscounted\": %.6f,\n    \"co_flushes\": %d,\n    \
-       \"worst_violation_rate\": %.6f,\n    \"rounds\": %d,\n    \
-       \"wall_ms\": %.3f,\n    \"tenants\": [\n%s\n    ]\n  }"
-      label o.Serve.Service.aggregate_charged
-      o.Serve.Service.aggregate_undiscounted o.Serve.Service.co_flushes
-      o.Serve.Service.worst_violation_rate o.Serve.Service.rounds wall_ms
-      (String.concat ",\n"
-         (List.map
-            (fun (t : Serve.Service.tenant_outcome) ->
-              Printf.sprintf
-                "      { \"tenant\": %S, \"metered_cost\": %.6f, \
-                 \"charged_cost\": %.6f, \"violations\": %d, \
-                 \"violation_rate\": %.6f, \"sheds\": %d, \"reanchors\": \
-                 %d, \"consistent\": %b }"
-                t.Serve.Service.tenant t.Serve.Service.metered_cost
-                t.Serve.Service.charged_cost t.Serve.Service.violations
-                t.Serve.Service.violation_rate t.Serve.Service.sheds
-                t.Serve.Service.reanchors t.Serve.Service.consistent)
-            o.Serve.Service.tenants))
+  Grid.gate g "shared_cost_le_independent"
+    (shared.Serve.Service.aggregate_charged
+    <= indep.Serve.Service.aggregate_charged +. 1e-6)
+    (Printf.sprintf "%.2f vs %.2f" shared.Serve.Service.aggregate_charged
+       indep.Serve.Service.aggregate_charged);
+  Grid.gate g "shared_slo_kept"
+    (shared.Serve.Service.worst_violation_rate
+    <= indep.Serve.Service.worst_violation_rate +. 1e-12)
+    (Printf.sprintf "worst violation rate %.4f vs %.4f"
+       shared.Serve.Service.worst_violation_rate
+       indep.Serve.Service.worst_violation_rate);
+  let mode_json (o : Serve.Service.outcome) wall_ms =
+    J.obj
+      [
+        ("aggregate_charged", J.num o.Serve.Service.aggregate_charged);
+        ("aggregate_undiscounted", J.num o.Serve.Service.aggregate_undiscounted);
+        ("co_flushes", J.int o.Serve.Service.co_flushes);
+        ("worst_violation_rate", J.num o.Serve.Service.worst_violation_rate);
+        ("rounds", J.int o.Serve.Service.rounds); ("wall_ms", J.num wall_ms);
+        ( "tenants",
+          J.arr
+            (List.map
+               (fun (t : Serve.Service.tenant_outcome) ->
+                 J.obj
+                   [
+                     ("tenant", J.str t.Serve.Service.tenant);
+                     ("metered_cost", J.num t.Serve.Service.metered_cost);
+                     ("charged_cost", J.num t.Serve.Service.charged_cost);
+                     ("violations", J.int t.Serve.Service.violations);
+                     ("violation_rate", J.num t.Serve.Service.violation_rate);
+                     ("sheds", J.int t.Serve.Service.sheds);
+                     ("reanchors", J.int t.Serve.Service.reanchors);
+                     ("consistent", string_of_bool t.Serve.Service.consistent);
+                   ])
+               o.Serve.Service.tenants) );
+      ]
   in
-  Printf.fprintf oc
-    "{\n  \"grid\": \"%s\",\n  %s,\n  \"tenants\": %d,\n  \"rows\": %d,\n  \
-     \"horizon\": %d,\n  \"limit_factor\": %.2f,\n%s,\n%s\n}\n"
-    name (meta_json ()) tenants rows horizon limit_factor
-    (mode_json "independent" indep indep_ms)
-    (mode_json "shared" shared shared_ms);
-  close_out oc;
-  Printf.printf "(written to %s)\n" path
+  Grid.finish g
+    [
+      ("tenants", J.int tenants); ("rows", J.int rows); ("horizon", J.int horizon);
+      ("limit_factor", J.num limit_factor);
+      ("independent", mode_json indep indep_ms);
+      ("shared", mode_json shared shared_ms);
+    ]
 
 let run_serve () =
   run_serve_grid ~name:"reference" ~tenants:6 ~rows:120 ~horizon:60
@@ -1715,92 +1629,54 @@ let serveio_digest (o : Serve.Service.outcome) =
 
 let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
     ~ckpt_rows ~ckpt_horizon () =
+  let g = Grid.create ~grid:name "BENCH_serveio.json" in
   section
     (Printf.sprintf
        "Serve I/O (%s grid) — shared group-commit window vs per-tenant \
         Always WALs (%d tenants, %d rows, horizon %d), plus off-thread \
         checkpoint stall"
        name tenants rows horizon);
-  let tenant_cfgs =
-    List.init tenants (fun i ->
-        {
-          Serve.Tenant.name = Printf.sprintf "t%d" i;
-          seed = base_seed + (10 * i);
-          rows;
-          horizon;
-          limit_factor;
-          streams = [ "ss"; "ss" ];
-          order = Ivm.Viewdef.First_order;
-          sync = None;
-        })
-  in
-  (* One timed run of the fleet under a WAL layout; best-of-[repeat].
-     Only [Serve.Service.run] is timed — tenant admission (synthetic DB
+  (* The fleet under one WAL layout, best-of-[repeat].  Only
+     [Serve.Service.run] is timed — tenant admission (synthetic DB
      generation) is identical across layouts and not the claim under
-     test.  The root is left on disk so the caller can recover it. *)
+     test.  The last run's root is then recovered from disk. *)
   let run_mode ~label ~wal_mode ~scheduler =
-    let root =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abivm-bench-serveio-%d-%s-%s" (Unix.getpid ()) name
-           label)
+    let root = bench_root "serveio-%s-%s" name label in
+    let (outcome, rounds, idle_rounds, window_closes, fsyncs), wall_ms =
+      Grid.best_of ~repeat (fun () ->
+          let svc =
+            fleet_service ~root ~tenants ~rows ~horizon ~limit_factor
+              {
+                Serve.Service.default_config with
+                (* Coordination is the serve grid's subject; here it would
+                   only add co-flush journal manifest writes to both
+                   layouts and blur the fsync accounting under test. *)
+                coordinate = false;
+                discount_factor = 0.0;
+                sync = Durable.Wal.Always;
+                wal_mode;
+                scheduler;
+              }
+          in
+          let (outcome, wall_ms), metrics =
+            telemetry_diff (fun () -> Grid.timed (fun () -> Serve.Service.run svc))
+          in
+          ( ( outcome,
+              Serve.Service.rounds svc,
+              Serve.Service.idle_rounds svc,
+              Serve.Service.window_closes svc,
+              Telemetry.Metrics.value metrics "durable.fsyncs" ),
+            wall_ms ))
     in
-    let best = ref infinity and out = ref None in
-    for _ = 1 to repeat do
-      bench_rmtree root;
-      let config =
-        {
-          Serve.Service.default_config with
-          admission =
-            {
-              Serve.Admission.max_active = tenants;
-              max_queued = tenants;
-              max_delta_entries = max_int;
-            };
-          (* Coordination is the serve grid's subject; here it would only
-             add co-flush journal manifest writes to both layouts and
-             blur the fsync accounting under test. *)
-          coordinate = false;
-          discount_factor = 0.0;
-          sync = Durable.Wal.Always;
-          wal_mode;
-          scheduler;
-        }
-      in
-      let svc = Serve.Service.create ~root config in
-      List.iter
-        (fun cfg ->
-          match Serve.Service.register svc cfg with
-          | Ok Serve.Admission.Admit -> ()
-          | Ok d ->
-              Printf.eprintf "FAIL: serveio: tenant %s not admitted (%s)\n"
-                cfg.Serve.Tenant.name
-                (Serve.Admission.describe d);
-              exit 1
-          | Error e ->
-              Printf.eprintf "FAIL: serveio: tenant %s: %s\n"
-                cfg.Serve.Tenant.name e;
-              exit 1)
-        tenant_cfgs;
-      let (outcome, wall_ms), metrics =
-        telemetry_diff (fun () ->
-            let t0 = Unix.gettimeofday () in
-            let o = Serve.Service.run svc in
-            (o, 1000.0 *. (Unix.gettimeofday () -. t0)))
-      in
-      if wall_ms < !best then best := wall_ms;
-      out :=
-        Some
-          ( outcome,
-            Serve.Service.rounds svc,
-            Serve.Service.idle_rounds svc,
-            Serve.Service.window_closes svc,
-            Telemetry.Metrics.value metrics "durable.fsyncs" )
-    done;
-    let outcome, rounds, idle_rounds, window_closes, fsyncs =
-      Option.get !out
+    let recovered =
+      match Serve.Service.recover ~root () with
+      | Error e -> "recover failed: " ^ e
+      | Ok svc -> serveio_digest (Serve.Service.run svc)
     in
-    (label, root, outcome, rounds, idle_rounds, window_closes, fsyncs, !best)
+    Grid.rmtree root;
+    let busy = max 1 (rounds - idle_rounds) in
+    (label, outcome, rounds, idle_rounds, busy, window_closes, fsyncs, wall_ms,
+     recovered)
   in
   let grouped =
     run_mode ~label:"grouped" ~wal_mode:Serve.Service.Grouped
@@ -1810,17 +1686,7 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
     run_mode ~label:"private-always" ~wal_mode:Serve.Service.Private
       ~scheduler:Serve.Service.Lockstep
   in
-  let recovered_digest (_, root, _, _, _, _, _, _) =
-    match Serve.Service.recover ~root () with
-    | Error e ->
-        Printf.eprintf "FAIL: serveio: recover %s: %s\n" root e;
-        exit 1
-    | Ok svc -> serveio_digest (Serve.Service.run svc)
-  in
-  let grouped_rec = recovered_digest grouped in
-  let private_rec = recovered_digest private_ in
-  let row (label, _, o, rounds, idle, closes, fsyncs, wall_ms) =
-    let busy = max 1 (rounds - idle) in
+  let row (label, o, rounds, idle, busy, closes, fsyncs, wall_ms, _) =
     [
       label;
       string_of_int rounds;
@@ -1839,11 +1705,8 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
       [ "wal layout"; "rounds"; "idle"; "window closes"; "fsyncs";
         "fsyncs/busy round"; "aggregate charged"; "wall (ms)" ]
     [ row grouped; row private_ ];
-  let ( _, groot, g_out, g_rounds, g_idle, g_closes, g_fsyncs, g_ms ) =
-    grouped
-  in
-  let _, proot, p_out, _, _, _, p_fsyncs, p_ms = private_ in
-  let g_busy = max 1 (g_rounds - g_idle) in
+  let _, g_out, _, _, g_busy, g_closes, g_fsyncs, g_ms, g_rec = grouped in
+  let _, p_out, _, _, _, _, p_fsyncs, p_ms, p_rec = private_ in
   let speedup = p_ms /. Float.max 1e-9 g_ms in
   Printf.printf
     "grouped window: %.0f fsyncs over %d busy rounds (%.2f/round) vs %.0f \
@@ -1854,66 +1717,41 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
   (* Gate 1: one fsync per busy round.  Every busy round closes the
      window exactly once ([sync = Always]); the only uncounted extras
      allowed are the shutdown flush and segment rotation. *)
-  let gate_window = g_closes = g_busy && g_fsyncs <= float_of_int (g_closes + 2) in
-  if not gate_window then begin
-    Printf.eprintf
-      "FAIL: serveio: grouped window fsync accounting: %d closes, %d busy \
-       rounds, %.0f fsyncs\n"
-      g_closes g_busy g_fsyncs;
-    exit 1
-  end;
+  Grid.gate g "window_closes_per_busy_round"
+    (g_closes = g_busy && g_fsyncs <= float_of_int (g_closes + 2))
+    (Printf.sprintf "%d closes, %d busy rounds, %.0f fsyncs" g_closes g_busy
+       g_fsyncs);
+  let per_round = g_fsyncs /. float_of_int g_busy in
+  Grid.gate g ~value:(J.num per_round) "fsyncs_per_busy_round" (per_round <= 1.1)
+    (Printf.sprintf "%.3f, bar 1.1" per_round);
   (* Gate 2a: bit-identical outcomes across layouts, live and recovered. *)
   let g_dig = serveio_digest g_out and p_dig = serveio_digest p_out in
-  if not (g_dig = p_dig && grouped_rec = g_dig && private_rec = p_dig) then begin
-    Printf.eprintf
-      "FAIL: serveio: outcome digests diverge (grouped %s / private %s / \
-       recovered %s %s)\n"
-      g_dig p_dig grouped_rec private_rec;
-    exit 1
-  end;
+  Grid.gate g "outcomes_bit_identical"
+    (g_dig = p_dig && g_rec = g_dig && p_rec = p_dig)
+    (Printf.sprintf "grouped %s / private %s / recovered %s %s" g_dig p_dig
+       g_rec p_rec);
   (* Gate 2b: the shared window converts saved fsyncs into throughput. *)
-  if speedup < 2.0 then begin
-    Printf.eprintf
-      "FAIL: serveio: grouped throughput %.2fx < 2x per-tenant Always\n"
-      speedup;
-    exit 1
-  end;
-  bench_rmtree groot;
-  bench_rmtree proot;
+  Grid.gate g ~value:(J.num speedup) "throughput_ratio" (speedup >= 2.0)
+    (Printf.sprintf "%.2fx, bar 2x" speedup);
   (* Gate 3: off-thread checkpoints must not stall the maintenance
      thread more than synchronous ones ([Durable.Exec], same workload,
      same checkpoint cadence; stalls best-of-[repeat] to damp noise). *)
   let env = durable_env ~rows:ckpt_rows ~join_domain:25 ~horizon:ckpt_horizon in
-  let ckpt_counter = ref 0 in
-  let ckpt_run ~label ~pool () =
-    incr ckpt_counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abivm-bench-serveio-ckpt-%d-%s-%s-%d" (Unix.getpid ())
-           name label !ckpt_counter)
-    in
-    bench_rmtree dir;
-    let config =
-      {
-        (Durable.Exec.default_config ~dir) with
-        Durable.Exec.ckpt_actions = 8;
-        sync = Durable.Wal.Always;
-        pool;
-      }
-    in
-    let outcome, metrics = telemetry_diff (fun () -> Durable.Exec.run config env) in
-    bench_rmtree dir;
-    (outcome, Telemetry.Metrics.value metrics "durable.ckpt_stall_ms")
-  in
   let best_stall ~label ~pool =
-    let best = ref infinity and out = ref None in
-    for _ = 1 to repeat do
-      let o, stall = ckpt_run ~label ~pool () in
-      if stall < !best then best := stall;
-      out := Some o
-    done;
-    (Option.get !out, !best)
+    Grid.best_of ~repeat (fun () ->
+        let dir = bench_root "serveio-ckpt-%s-%s" name label in
+        Grid.rmtree dir;
+        let config =
+          {
+            (Durable.Exec.default_config ~dir) with
+            Durable.Exec.ckpt_actions = 8;
+            sync = Durable.Wal.Always;
+            pool;
+          }
+        in
+        let outcome, metrics = telemetry_diff (fun () -> Durable.Exec.run config env) in
+        Grid.rmtree dir;
+        (outcome, Telemetry.Metrics.value metrics "durable.ckpt_stall_ms"))
   in
   let sync_out, sync_stall = best_stall ~label:"sync" ~pool:None in
   let async_out, async_stall =
@@ -1923,57 +1761,47 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
   Printf.printf
     "checkpoint stall: %.2f ms sync vs %.2f ms off-thread (%d checkpoints)\n"
     sync_stall async_stall sync_out.Durable.Exec.checkpoints;
-  if sync_out.Durable.Exec.checkpoints = 0 then begin
-    Printf.eprintf "FAIL: serveio: checkpoint grid wrote no checkpoints\n";
-    exit 1
-  end;
-  if
+  Grid.gate g "checkpoints_written" (sync_out.Durable.Exec.checkpoints > 0)
+    (Printf.sprintf "%d checkpoints" sync_out.Durable.Exec.checkpoints);
+  let cost_bits_equal =
     Int64.bits_of_float sync_out.Durable.Exec.total_cost
-    <> Int64.bits_of_float async_out.Durable.Exec.total_cost
-  then begin
-    Printf.eprintf
-      "FAIL: serveio: off-thread checkpoints changed the total cost\n";
-    exit 1
-  end;
-  if async_stall > (sync_stall *. 1.25) +. 2.0 then begin
-    Printf.eprintf
-      "FAIL: serveio: off-thread checkpoint stall regressed (%.2f ms vs \
-       %.2f ms sync)\n"
-      async_stall sync_stall;
-    exit 1
-  end;
-  (* Machine-readable copy for regression tracking across PRs. *)
-  let path = "BENCH_serveio.json" in
-  let oc = open_out path in
-  let mode_json (label, _, o, rounds, idle, closes, fsyncs, wall_ms) digest =
-    Printf.sprintf
-      "  \"%s\": {\n    \"rounds\": %d,\n    \"idle_rounds\": %d,\n    \
-       \"window_closes\": %d,\n    \"fsyncs\": %.0f,\n    \
-       \"fsyncs_per_busy_round\": %.4f,\n    \"aggregate_charged\": %.6f,\n    \
-       \"wall_ms\": %.3f,\n    \"digest_matches_recovered\": %b\n  }"
-      label rounds idle closes fsyncs
-      (fsyncs /. float_of_int (max 1 (rounds - idle)))
-      o.Serve.Service.aggregate_charged wall_ms
-      (serveio_digest o = digest)
+    = Int64.bits_of_float async_out.Durable.Exec.total_cost
   in
-  Printf.fprintf oc
-    "{\n  \"grid\": \"%s\",\n  %s,\n  \"tenants\": %d,\n  \"rows\": %d,\n  \
-     \"horizon\": %d,\n  \"limit_factor\": %.2f,\n%s,\n%s,\n  \
-     \"throughput_ratio\": %.4f,\n  \"outcomes_bit_identical\": %b,\n  \
-     \"checkpoint\": {\n    \"rows\": %d,\n    \"horizon\": %d,\n    \
-     \"checkpoints\": %d,\n    \"sync_stall_ms\": %.3f,\n    \
-     \"async_stall_ms\": %.3f,\n    \"cost_bits_equal\": %b\n  }\n}\n"
-    name (meta_json ()) tenants rows horizon limit_factor
-    (mode_json grouped grouped_rec)
-    (mode_json private_ private_rec)
-    speedup
-    (g_dig = p_dig)
-    ckpt_rows ckpt_horizon sync_out.Durable.Exec.checkpoints sync_stall
-    async_stall
-    (Int64.bits_of_float sync_out.Durable.Exec.total_cost
-    = Int64.bits_of_float async_out.Durable.Exec.total_cost);
-  close_out oc;
-  Printf.printf "(written to %s)\n" path
+  Grid.gate g "ckpt_cost_bits_equal" cost_bits_equal
+    (Printf.sprintf "%.17g sync vs %.17g off-thread"
+       sync_out.Durable.Exec.total_cost async_out.Durable.Exec.total_cost);
+  Grid.gate g "ckpt_stall_not_worse"
+    (async_stall <= (sync_stall *. 1.25) +. 2.0)
+    (Printf.sprintf "%.2f ms off-thread vs %.2f ms sync, bar 1.25x + 2 ms"
+       async_stall sync_stall);
+  let mode_json (_, o, rounds, idle, busy, closes, fsyncs, wall_ms, recovered) =
+    J.obj
+      [
+        ("rounds", J.int rounds); ("idle_rounds", J.int idle);
+        ("window_closes", J.int closes); ("fsyncs", J.num fsyncs);
+        ("fsyncs_per_busy_round", J.num (fsyncs /. float_of_int busy));
+        ("aggregate_charged", J.num o.Serve.Service.aggregate_charged);
+        ("wall_ms", J.num wall_ms);
+        ("digest_matches_recovered", string_of_bool (serveio_digest o = recovered));
+      ]
+  in
+  Grid.finish g
+    [
+      ("tenants", J.int tenants); ("rows", J.int rows); ("horizon", J.int horizon);
+      ("limit_factor", J.num limit_factor);
+      ("grouped", mode_json grouped); ("private-always", mode_json private_);
+      ("throughput_ratio", J.num speedup);
+      ("outcomes_bit_identical", string_of_bool (g_dig = p_dig));
+      ( "checkpoint",
+        J.obj
+          [
+            ("rows", J.int ckpt_rows); ("horizon", J.int ckpt_horizon);
+            ("checkpoints", J.int sync_out.Durable.Exec.checkpoints);
+            ("sync_stall_ms", J.num sync_stall);
+            ("async_stall_ms", J.num async_stall);
+            ("cost_bits_equal", string_of_bool cost_bits_equal);
+          ] );
+    ]
 
 let run_serveio () =
   run_serveio_grid ~name:"reference" ~tenants:8 ~rows:16 ~horizon:60
@@ -2006,9 +1834,10 @@ let run_serveio_smoke () =
       per-table batch bounds K_i, and gates on (a) A* with the DP
       heuristic returning bit-identically the uniform-cost (Dijkstra)
       optimum, and (b) exact <= A* <= 2 * exact on an Exact-solvable
-      two-table sub-instance.  Any gate failure exits 1. *)
+      two-table sub-instance. *)
 
 let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
+  let g = Grid.create ~grid:name "BENCH_ho.json" in
   section
     (Printf.sprintf
        "Higher-order delta views (%s grid; %dx%d rows, batches up to %d) — \
@@ -2100,15 +1929,9 @@ let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
         (Array.init (horizon' + 1) (fun t ->
              Array.sub arrivals.(min t horizon) 0 n_tables))
   in
-  let gate_failures = ref [] in
-  let gate what ok detail =
-    Printf.printf "gate %-34s %s  (%s)\n" what (if ok then "PASS" else "FAIL")
-      detail;
-    if not ok then gate_failures := what :: !gate_failures
-  in
   let planner_rows = ref [] and planner_json = ref [] in
   List.iter
-    (fun (oname, order, limit) ->
+    (fun (oname, tag, order, limit) ->
       let costs = costs_of order in
       let spec = spec_of costs ~limit 6 horizon in
       let naive_cost = Abivm.Plan.cost spec (Abivm.Naive.plan spec) in
@@ -2127,8 +1950,7 @@ let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
           (Abivm.Spec.make ~costs ~limit
              ~arrivals:(Array.init 241 (fun _ -> Array.make 6 1)))
       in
-      gate
-        (Printf.sprintf "A* heuristic = Dijkstra (%s)" oname)
+      Grid.gate g ("astar_eq_dijkstra_" ^ tag)
         (astar.Abivm.Astar.cost = dijkstra.Abivm.Astar.cost)
         (Printf.sprintf "%.2f vs %.2f, %d vs %d expanded" astar.Abivm.Astar.cost
            dijkstra.Abivm.Astar.cost astar.Abivm.Astar.stats.Abivm.Astar.expanded
@@ -2138,12 +1960,10 @@ let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
       let sub_astar = (Abivm.Astar.solve sub).Abivm.Astar.cost in
       (match Abivm.Exact.solve ~max_expansions:500_000 sub with
       | exception Abivm.Exact.Too_large _ ->
-          gate
-            (Printf.sprintf "exact <= A* <= 2 exact (%s)" oname)
-            false "exact solver exceeded its expansion budget"
+          Grid.gate g ("exact_astar_2exact_" ^ tag) false
+            "exact solver exceeded its expansion budget"
       | exact_cost, _ ->
-          gate
-            (Printf.sprintf "exact <= A* <= 2 exact (%s)" oname)
+          Grid.gate g ("exact_astar_2exact_" ^ tag)
             (sub_astar >= exact_cost -. 1e-6
             && sub_astar <= (2.0 *. exact_cost) +. 1e-6)
             (Printf.sprintf "exact %.2f, A* %.2f" exact_cost sub_astar));
@@ -2157,19 +1977,20 @@ let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
         ]
         :: !planner_rows;
       planner_json :=
-        Printf.sprintf
-          "    { \"order\": %S, \"naive\": %.3f, \"lgm\": %.3f, \"astar\": \
-           %.3f, \"astar_expanded\": %d, \"dijkstra_expanded\": %d, \
-           \"batch_bounds\": [%s] }"
-          oname naive_cost lgm_cost astar.Abivm.Astar.cost
-          astar.Abivm.Astar.stats.Abivm.Astar.expanded
-          dijkstra.Abivm.Astar.stats.Abivm.Astar.expanded
-          (String.concat ", " (Array.to_list (Array.map string_of_int bounds)))
+        J.obj
+          [
+            ("order", J.str oname); ("naive", J.num naive_cost);
+            ("lgm", J.num lgm_cost); ("astar", J.num astar.Abivm.Astar.cost);
+            ("astar_expanded", J.int astar.Abivm.Astar.stats.Abivm.Astar.expanded);
+            ( "dijkstra_expanded",
+              J.int dijkstra.Abivm.Astar.stats.Abivm.Astar.expanded );
+            ("batch_bounds", J.arr (Array.to_list (Array.map J.int bounds)));
+          ]
         :: !planner_json)
     [
-      ("first-order", fo, limit);
-      ("higher-order", ho, limit);
-      ("higher-order tight C", ho, limit_for (costs_of ho));
+      ("first-order", "fo", fo, limit);
+      ("higher-order", "ho", ho, limit);
+      ("higher-order tight C", "ho_tight", ho, limit_for (costs_of ho));
     ];
   emit ~name:("ho_planner_" ^ name)
     ~aligns:
@@ -2181,47 +2002,17 @@ let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
   (* -- acceptance gates on the engine curves -------------------------------- *)
   let k_small = List.nth sizes 0 and k_mid = List.nth sizes 1 in
   let speedup k = at k (get fo u0) /. at k (get ho u0) in
-  gate "HO >= 2x FO on dR at small k"
-    (speedup k_small >= 2.0 && speedup k_mid >= 2.0)
-    (Printf.sprintf "k=%d: %.1fx, k=%d: %.1fx" k_small (speedup k_small) k_mid
-       (speedup k_mid));
-  gate "HO dS slope flatter than FO"
+  List.iter
+    (fun k ->
+      Grid.gate g ~value:(J.num (speedup k))
+        (Printf.sprintf "ho_speedup_dr_k%d" k)
+        (speedup k >= 2.0)
+        (Printf.sprintf "HO beats FO on dR by %.1fx, bar 2x" (speedup k)))
+    [ k_small; k_mid ];
+  Grid.gate g "ho_ds_flatter"
     (Cost.Fit.flatter (get ho u1) ~than:(get fo u1))
-    (Printf.sprintf "%.2f vs %.2f" (slope (get ho u1)) (slope (get fo u1)));
-  (* -- JSON ------------------------------------------------------------------ *)
-  let curve_json stream table order curve =
-    Printf.sprintf
-      "    { \"stream\": %S, \"table\": %d, \"order\": %S, \"slope\": %.4f, \
-       \"points\": [%s] }"
-      stream table
-      (Ivm.Viewdef.order_name order)
-      (slope curve)
-      (String.concat ", "
-         (List.map (fun (k, c) -> Printf.sprintf "[%d, %.3f]" k c) curve))
-  in
-  let path = "BENCH_ho.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"grid\": %S,\n  %s,\n  \"r_rows\": %d,\n  \"s_rows\": %d,\n  \
-     \"curves\": [\n%s\n  ],\n  \"planner\": [\n%s\n  ],\n  \"gates\": { \
-     \"ho_speedup_dr_k%d\": %.3f, \"ho_speedup_dr_k%d\": %.3f, \
-     \"ho_ds_flatter\": %b, \"failed\": [%s] }\n}\n"
-    name (meta_json ()) r_rows s_rows
-    (String.concat ",\n"
-       (List.concat_map
-          (fun (stream, t, cs) ->
-            List.map (fun (o, c) -> curve_json stream t o c) cs)
-          [
-            ("uniform", 0, u0); ("uniform", 1, u1); ("zipf", 0, z0);
-            ("zipf", 1, z1);
-          ]))
-    (String.concat ",\n" (List.rev !planner_json))
-    k_small (speedup k_small) k_mid (speedup k_mid)
-    (Cost.Fit.flatter (get ho u1) ~than:(get fo u1))
-    (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "%S" s) !gate_failures));
-  close_out oc;
-  Printf.printf "(written to %s)\n" path;
+    (Printf.sprintf "dS slope %.2f (HO) vs %.2f (FO)" (slope (get ho u1))
+       (slope (get fo u1)));
   Printf.printf
     "headline: materializing d(V)/d(R) turns the dR batch from a scan of S \
      into hash probes — %.1fx cheaper at k=%d — while at k=%d the shared \
@@ -2232,12 +2023,25 @@ let run_ho_grid ~name ~r_rows ~s_rows ~sizes ~horizon () =
     (List.fold_left max 1 sizes)
     (let kmax = List.fold_left max 1 sizes in
      at kmax (get fo u0) /. at kmax (get ho u0));
-  if !gate_failures <> [] then begin
-    Printf.eprintf "ho bench: %d gate(s) failed: %s\n"
-      (List.length !gate_failures)
-      (String.concat "; " (List.rev !gate_failures));
-    exit 1
-  end
+  let curve_json stream table (order, curve) =
+    J.obj
+      [
+        ("stream", J.str stream); ("table", J.int table);
+        ("order", J.str (Ivm.Viewdef.order_name order));
+        ("slope", J.num (slope curve));
+        ("points", curve_points curve);
+      ]
+  in
+  Grid.finish g
+    [
+      ("r_rows", J.int r_rows); ("s_rows", J.int s_rows);
+      ( "curves",
+        J.arr
+          (List.concat_map
+             (fun (stream, t, cs) -> List.map (curve_json stream t) cs)
+             [ ("uniform", 0, u0); ("uniform", 1, u1); ("zipf", 0, z0); ("zipf", 1, z1) ]) );
+      ("planner", J.arr (List.rev !planner_json));
+    ]
 
 let run_ho () =
   run_ho_grid ~name:"reference" ~r_rows:400 ~s_rows:400
@@ -2262,6 +2066,7 @@ let run_ho_smoke () =
    bit-for-bit. *)
 let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
     ~rates ~exact_horizon () =
+  let g = Grid.create ~grid:name "BENCH_partition.json" in
   section
     (Printf.sprintf
        "Heavy-light partitioning (%s grid; %dx%d rows, horizon %d) — \
@@ -2463,12 +2268,6 @@ let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
     ignore (Partition.Engine.rows e);
     (!cost, !batches)
   in
-  let gate_failures = ref [] in
-  let gate what ok detail =
-    Printf.printf "gate %-38s %s  (%s)\n" what (if ok then "PASS" else "FAIL")
-      detail;
-    if not ok then gate_failures := what :: !gate_failures
-  in
   emit ~name:("partition_planner_" ^ name)
     ~aligns:
       [ Util.Tablefmt.Left; Util.Tablefmt.Right; Util.Tablefmt.Right;
@@ -2486,7 +2285,7 @@ let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
       ];
     ];
   let win = blind_cost /. part_exec.Partition.Runner.cost_units in
-  gate "skew-aware executed-cost win"
+  Grid.gate g "skew_win"
     (part_exec.Partition.Runner.cost_units < blind_cost)
     (Printf.sprintf "%.1f vs %.1f units (%.2fx)"
        part_exec.Partition.Runner.cost_units blind_cost win);
@@ -2504,7 +2303,7 @@ let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
       (Partition.Engine.rows engine)
       (Ivm.Maintainer.rows m_c)
   in
-  gate "zipf run view contents identical" zipf_identical
+  Grid.gate g "zipf_contents_identical" zipf_identical
     "partitioned vs unpartitioned engine after the full stream";
   (* -- uniform-key bit-identity --------------------------------------------- *)
   let uniform_identical =
@@ -2534,7 +2333,7 @@ let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
       u_stream
     && Result.is_ok (Partition.Engine.check_consistent e_u)
   in
-  gate "uniform-key routing bit-identical" uniform_identical
+  Grid.gate g "uniform_bit_identical" uniform_identical
     "per-step view contents, partitioned vs unpartitioned";
   (* -- parallel Exact DP cross-check on the partitioned spec ----------------
      A thin head of the partitioned instance (arrivals capped at 1) keeps
@@ -2546,7 +2345,7 @@ let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
         (Array.init (exact_horizon + 1) (fun t ->
              Array.map (fun k -> min k 1) parr.(t)))
   in
-  let domains = List.sort_uniq compare (1 :: !bench_domains) in
+  let domains = List.sort_uniq compare (1 :: !Grid.domains) in
   let exact_results =
     List.map
       (fun d ->
@@ -2567,75 +2366,59 @@ let run_partition_grid ~name ~r_rows ~s_rows ~horizon ~sizes ~limit_factor
             | None -> false)
           rest
       in
-      gate
-        (Printf.sprintf "parallel Exact bit-identical (domains %s)"
-           (String.concat "," (List.map string_of_int domains)))
-        agree
-        (Printf.sprintf "cost %.2f at horizon %d" c1 exact_horizon);
+      Grid.gate g "parallel_exact_bit_identical" agree
+        (Printf.sprintf "cost %.2f at horizon %d, domains %s" c1 exact_horizon
+           (String.concat "," (List.map string_of_int domains)));
       let sub_astar = (Abivm.Astar.solve spec_small).Abivm.Astar.cost in
-      gate "exact <= A* <= 2 exact (partitioned)"
+      Grid.gate g "exact_astar_2exact"
         (sub_astar >= c1 -. 1e-6 && sub_astar <= (2.0 *. c1) +. 1e-6)
         (Printf.sprintf "exact %.2f, A* %.2f" c1 sub_astar)
   | _ ->
-      gate "parallel Exact bit-identical" false
+      Grid.gate g "parallel_exact_bit_identical" false
         "exact solver exceeded its expansion budget");
-  (* -- JSON ------------------------------------------------------------------ *)
-  let curve_json label points =
-    Printf.sprintf "    { \"partition\": %S, \"points\": [%s] }" label
-      (String.concat ", "
-         (List.map (fun (k, c) -> Printf.sprintf "[%d, %.3f]" k c) points))
-  in
-  let path = "BENCH_partition.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"grid\": %S,\n  %s,\n  \"r_rows\": %d,\n  \"s_rows\": %d,\n  \
-     \"horizon\": %d,\n  \"exponent\": %.2f,\n  \"splits\": [\n%s\n  ],\n  \
-     \"curves\": [\n%s\n  ],\n  \"planner\": { \"blind_plan\": %.3f, \
-     \"blind_executed\": %.3f, \"part_plan\": %.3f, \"part_executed\": %.3f, \
-     \"win\": %.4f },\n  \"gates\": { \"skew_win\": %b, \
-     \"uniform_bit_identical\": %b, \"failed\": [%s] }\n}\n"
-    name (meta_json ()) r_rows s_rows horizon exponent
-    (String.concat ",\n"
-       (List.init 2 (fun i ->
-            Printf.sprintf
-              "    { \"table\": %S, \"heavy_keys\": %d, \"coverage\": %.4f, \
-               \"threshold\": %.4f }"
-              names.(i)
-              (Partition.Split.heavy_count splits.(i))
-              (Partition.Split.coverage splits.(i))
-              (Partition.Split.threshold splits.(i)))))
-    (String.concat ",\n"
-       (List.concat
-          [
-            Array.to_list
-              (Array.mapi
-                 (fun p c -> curve_json (Partition.Pspec.label ~names p) c)
-                 part_curves);
-            Array.to_list
-              (Array.mapi
-                 (fun i c -> curve_json ("blind_" ^ names.(i)) c)
-                 blind_curves);
-          ]))
-    sol_blind.Abivm.Astar.cost blind_cost sol_part.Abivm.Astar.cost
-    part_exec.Partition.Runner.cost_units win
-    (part_exec.Partition.Runner.cost_units < blind_cost)
-    uniform_identical
-    (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "%S" s) !gate_failures));
-  close_out oc;
-  Printf.printf "(written to %s)\n" path;
   Printf.printf
     "headline: splitting each relation by key frequency gives the planner \
      honest per-partition curves — hot keys flush eagerly through the \
      index, the tail amortizes into shared scans — beating the \
      single-curve deployment by %.2fx executed on the same Zipfian stream\n"
     win;
-  if !gate_failures <> [] then begin
-    Printf.eprintf "partition bench: %d gate(s) failed: %s\n"
-      (List.length !gate_failures)
-      (String.concat "; " (List.rev !gate_failures));
-    exit 1
-  end
+  let curve_json label points =
+    J.obj [ ("partition", J.str label); ("points", curve_points points) ]
+  in
+  Grid.finish g
+    [
+      ("r_rows", J.int r_rows); ("s_rows", J.int s_rows);
+      ("horizon", J.int horizon); ("exponent", J.num exponent);
+      ( "splits",
+        J.arr
+          (List.init 2 (fun i ->
+               J.obj
+                 [
+                   ("table", J.str names.(i));
+                   ("heavy_keys", J.int (Partition.Split.heavy_count splits.(i)));
+                   ("coverage", J.num (Partition.Split.coverage splits.(i)));
+                   ("threshold", J.num (Partition.Split.threshold splits.(i)));
+                 ])) );
+      ( "curves",
+        J.arr
+          (Array.to_list
+             (Array.mapi
+                (fun p c -> curve_json (Partition.Pspec.label ~names p) c)
+                part_curves)
+          @ Array.to_list
+              (Array.mapi
+                 (fun i c -> curve_json ("blind_" ^ names.(i)) c)
+                 blind_curves)) );
+      ( "planner",
+        J.obj
+          [
+            ("blind_plan", J.num sol_blind.Abivm.Astar.cost);
+            ("blind_executed", J.num blind_cost);
+            ("part_plan", J.num sol_part.Abivm.Astar.cost);
+            ("part_executed", J.num part_exec.Partition.Runner.cost_units);
+            ("win", J.num win);
+          ] );
+    ]
 
 let run_partition () =
   run_partition_grid ~name:"reference" ~r_rows:120 ~s_rows:700 ~horizon:30
@@ -2719,7 +2502,7 @@ let () =
           Printf.eprintf "--domains: empty list\n";
           exit 1
         end;
-        bench_domains := parsed;
+        Grid.domains := parsed;
         strip_flags rest
     | section :: rest -> section :: strip_flags rest
     | [] -> []
@@ -2736,14 +2519,10 @@ let () =
   let requested =
     if args <> [] then args
     else
-      (* The smoke grids are CI alias targets; running them after the
-         reference grids would overwrite BENCH_*.json with toy data. *)
+      (* The smoke grids write the same BENCH_*.json as their reference
+         grids; running them too would overwrite those with toy data. *)
       List.filter
-        (fun s ->
-          s <> "astar-smoke" && s <> "robust-smoke" && s <> "durable-smoke"
-          && s <> "multiview-par-smoke" && s <> "columnar-smoke"
-          && s <> "ho-smoke" && s <> "partition-smoke"
-          && s <> "serve-io-smoke")
+        (fun s -> not (String.ends_with ~suffix:"-smoke" s))
         (List.map fst sections)
   in
   List.iter
@@ -2751,7 +2530,11 @@ let () =
       match List.assoc_opt name sections with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown section %S; available: %s\n" name
+          Printf.eprintf
+            "unknown section %S\nusage: main.exe [--csv DIR] [--trace \
+             FILE.jsonl] [--metrics] [--domains 1,2,4] [SECTION...]\n\
+             sections: %s\n"
+            name
             (String.concat " " (List.map fst sections));
           exit 1)
     requested;

@@ -1,6 +1,7 @@
 module Metrics = Metrics
 module Span = Span
 module Sink = Sink
+module Jsonx = Jsonx
 
 (* The collector is shared by every domain (parallel search shards, the
    multiview flush pool), so its mutable pieces are domain-safe: the

@@ -21,6 +21,10 @@ module Metrics = Metrics
 module Span = Span
 module Sink = Sink
 
+module Jsonx = Jsonx
+(** The minimal JSON renderer the JSONL sink uses: values are pre-rendered
+    strings ([str], [num], [int], [obj], [arr]). *)
+
 val enable : ?sinks:Sink.t list -> unit -> unit
 (** Install a fresh global collector (disabling any previous one first). *)
 
