@@ -81,6 +81,20 @@ let best_of ~repeat f =
   in
   go 1 (f ())
 
+(* [best_of] for two measurements compared as a ratio, taken alternately
+   (a, b, a, b, ...) so that a change of load on the host reaches both
+   sides rather than one whole block of runs. *)
+let best_of_interleaved ~repeat fa fb =
+  let rec go i ((va, ba), (vb, bb)) =
+    if i >= repeat then ((va, ba), (vb, bb))
+    else
+      let va', ma = fa () in
+      let vb', mb = fb () in
+      go (i + 1) ((va', Float.min ba ma), (vb', Float.min bb mb))
+  in
+  let a = fa () in
+  go 1 (a, fb ())
+
 let rec rmtree path =
   if Sys.file_exists path then
     if Sys.is_directory path then begin

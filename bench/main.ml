@@ -1286,29 +1286,27 @@ let run_columnar_grid ~name ~rows ~deltas ~repeat () =
           Ge (col "v", float 100.0) ))
   in
   let plan = Ra.select pred (Ra.scan t) in
-  let repeat_count f =
-    let n = ref 0 in
-    for _ = 1 to repeat do
-      n := f ()
-    done;
-    !n
+  (* Each kernel's boxed and vectorized sides are timed alternately, one
+     repetition per measurement, best-of-[repeat] each. *)
+  let interleave boxed vec =
+    Grid.best_of_interleaved ~repeat
+      (fun () -> time_ms boxed)
+      (fun () -> time_ms vec)
   in
-  let boxed_rows, boxed_scan_ms =
-    time_ms (fun () -> repeat_count (fun () -> List.length (Ra.eval_boxed plan)))
-  in
-  let vec_rows, vec_scan_ms =
-    time_ms (fun () ->
-        repeat_count (fun () ->
-            let c = Ra.cursor plan in
-            let n = ref 0 in
-            let rec loop () =
-              match c () with
-              | None -> !n
-              | Some b ->
-                  n := !n + b.Batch.n_sel;
-                  loop ()
-            in
-            loop ()))
+  let (boxed_rows, boxed_scan_ms), (vec_rows, vec_scan_ms) =
+    interleave
+      (fun () -> List.length (Ra.eval_boxed plan))
+      (fun () ->
+        let c = Ra.cursor plan in
+        let n = ref 0 in
+        let rec loop () =
+          match c () with
+          | None -> !n
+          | Some b ->
+              n := !n + b.Batch.n_sel;
+              loop ()
+        in
+        loop ())
   in
   (* -- delta application ---------------------------------------------------- *)
   (* Delta keys hitting ~deltas/1000 of the key domain, as the maintainer
@@ -1316,51 +1314,48 @@ let run_columnar_grid ~name ~rows ~deltas ~repeat () =
   let st = Random.State.make [| 0xDE17A; deltas |] in
   let domain = columnar_key_domain rows in
   let delta_keys = Array.init deltas (fun _ -> Random.State.int st domain) in
-  let boxed_matches, boxed_delta_ms =
-    time_ms (fun () ->
-        repeat_count (fun () ->
-            (* the pre-columnar expand loop: boxed Value hash of the delta
-               keys, probed once per scanned (materialized) row *)
-            let h = Hashtbl.create (Array.length delta_keys) in
-            Array.iter
-              (fun k ->
-                let v = Value.Int k in
-                Hashtbl.replace h v (1 + Option.value ~default:0 (Hashtbl.find_opt h v)))
-              delta_keys;
-            let n = ref 0 in
-            Table.scan t (fun _ tup ->
-                match Hashtbl.find_opt h (Tuple.get tup 0) with
-                | Some c -> n := !n + c
-                | None -> ());
-            !n))
-  in
-  let vec_matches, vec_delta_ms =
-    time_ms (fun () ->
-        repeat_count (fun () ->
-            (* the maintainer's vectorized expand: unboxed Ihash probe over
-               the raw int column, partner tuple materialized on match *)
-            let h = Ihash.create (Array.length delta_keys) in
-            Array.iter (fun k -> Ihash.add h k 0) delta_keys;
-            let n = ref 0 in
-            Table.scan_batches t (fun b ->
-                let col = b.Batch.cols.(0) in
-                let data = Column.int_data col and valid = Column.validity col in
-                let base = b.Batch.base in
-                for s = 0 to b.Batch.n_sel - 1 do
-                  let r = Array.unsafe_get b.Batch.sel s in
-                  let abs = base + r in
-                  if Column.bit valid abs then begin
-                    let cell =
-                      ref (Ihash.first h (Bigarray.Array1.unsafe_get data abs))
-                    in
-                    while !cell >= 0 do
-                      ignore (Batch.tuple b r);
-                      incr n;
-                      cell := Ihash.next_cell h !cell
-                    done
-                  end
-                done);
-            !n))
+  let (boxed_matches, boxed_delta_ms), (vec_matches, vec_delta_ms) =
+    interleave
+      (fun () ->
+        (* the pre-columnar expand loop: boxed Value hash of the delta
+           keys, probed once per scanned (materialized) row *)
+        let h = Hashtbl.create (Array.length delta_keys) in
+        Array.iter
+          (fun k ->
+            let v = Value.Int k in
+            Hashtbl.replace h v (1 + Option.value ~default:0 (Hashtbl.find_opt h v)))
+          delta_keys;
+        let n = ref 0 in
+        Table.scan t (fun _ tup ->
+            match Hashtbl.find_opt h (Tuple.get tup 0) with
+            | Some c -> n := !n + c
+            | None -> ());
+        !n)
+      (fun () ->
+        (* the maintainer's vectorized expand: unboxed Ihash probe over
+           the raw int column, partner tuple materialized on match *)
+        let h = Ihash.create (Array.length delta_keys) in
+        Array.iter (fun k -> Ihash.add h k 0) delta_keys;
+        let n = ref 0 in
+        Table.scan_batches t (fun b ->
+            let col = b.Batch.cols.(0) in
+            let data = Column.int_data col and valid = Column.validity col in
+            let base = b.Batch.base in
+            for s = 0 to b.Batch.n_sel - 1 do
+              let r = Array.unsafe_get b.Batch.sel s in
+              let abs = base + r in
+              if Column.bit valid abs then begin
+                let cell =
+                  ref (Ihash.first h (Bigarray.Array1.unsafe_get data abs))
+                in
+                while !cell >= 0 do
+                  ignore (Batch.tuple b r);
+                  incr n;
+                  cell := Ihash.next_cell h !cell
+                done
+              end
+            done);
+        !n)
   in
   let kernels =
     [
@@ -1409,7 +1404,7 @@ let run_columnar () =
   run_columnar_grid ~name:"reference" ~rows:400_000 ~deltas:2_000 ~repeat:3 ()
 
 let run_columnar_smoke () =
-  run_columnar_grid ~name:"smoke" ~rows:80_000 ~deltas:600 ~repeat:1 ()
+  run_columnar_grid ~name:"smoke" ~rows:80_000 ~deltas:600 ~repeat:9 ()
 
 (* --- serve: shared SLO scheduler vs independent per-tenant ONLINE ---------- *)
 
@@ -1636,38 +1631,50 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
         Always WALs (%d tenants, %d rows, horizon %d), plus off-thread \
         checkpoint stall"
        name tenants rows horizon);
-  (* The fleet under one WAL layout, best-of-[repeat].  Only
+  (* One timed run of the fleet under a WAL layout.  Only
      [Serve.Service.run] is timed — tenant admission (synthetic DB
      generation) is identical across layouts and not the claim under
-     test.  The last run's root is then recovered from disk. *)
-  let run_mode ~label ~wal_mode ~scheduler =
-    let root = bench_root "serveio-%s-%s" name label in
-    let (outcome, rounds, idle_rounds, window_closes, fsyncs), wall_ms =
-      Grid.best_of ~repeat (fun () ->
-          let svc =
-            fleet_service ~root ~tenants ~rows ~horizon ~limit_factor
-              {
-                Serve.Service.default_config with
-                (* Coordination is the serve grid's subject; here it would
-                   only add co-flush journal manifest writes to both
-                   layouts and blur the fsync accounting under test. *)
-                coordinate = false;
-                discount_factor = 0.0;
-                sync = Durable.Wal.Always;
-                wal_mode;
-                scheduler;
-              }
-          in
-          let (outcome, wall_ms), metrics =
-            telemetry_diff (fun () -> Grid.timed (fun () -> Serve.Service.run svc))
-          in
-          ( ( outcome,
-              Serve.Service.rounds svc,
-              Serve.Service.idle_rounds svc,
-              Serve.Service.window_closes svc,
-              Telemetry.Metrics.value metrics "durable.fsyncs" ),
-            wall_ms ))
+     test, and the heap is settled first so that its garbage is not
+     collected inside the timed run. *)
+  let timed_run ~root ~wal_mode ~scheduler () =
+    let svc =
+      fleet_service ~root ~tenants ~rows ~horizon ~limit_factor
+        {
+          Serve.Service.default_config with
+          (* Coordination is the serve grid's subject; here it would
+             only add co-flush journal manifest writes to both
+             layouts and blur the fsync accounting under test. *)
+          coordinate = false;
+          discount_factor = 0.0;
+          sync = Durable.Wal.Always;
+          wal_mode;
+          scheduler;
+        }
     in
+    Gc.compact ();
+    let (outcome, wall_ms), metrics =
+      telemetry_diff (fun () -> Grid.timed (fun () -> Serve.Service.run svc))
+    in
+    ( ( outcome,
+        Serve.Service.rounds svc,
+        Serve.Service.idle_rounds svc,
+        Serve.Service.window_closes svc,
+        Telemetry.Metrics.value metrics "durable.fsyncs" ),
+      wall_ms )
+  in
+  (* The two layouts alternate, best-of-[repeat] each; then each layout's
+     last root is recovered from disk. *)
+  let g_root = bench_root "serveio-%s-grouped" name in
+  let p_root = bench_root "serveio-%s-private-always" name in
+  let g_run, p_run =
+    Grid.best_of_interleaved ~repeat
+      (timed_run ~root:g_root ~wal_mode:Serve.Service.Grouped
+         ~scheduler:Serve.Service.Event)
+      (timed_run ~root:p_root ~wal_mode:Serve.Service.Private
+         ~scheduler:Serve.Service.Lockstep)
+  in
+  let recover_mode ~label ~root
+      ((outcome, rounds, idle_rounds, window_closes, fsyncs), wall_ms) =
     let recovered =
       match Serve.Service.recover ~root () with
       | Error e -> "recover failed: " ^ e
@@ -1678,14 +1685,8 @@ let run_serveio_grid ~name ~tenants ~rows ~horizon ~limit_factor ~repeat
     (label, outcome, rounds, idle_rounds, busy, window_closes, fsyncs, wall_ms,
      recovered)
   in
-  let grouped =
-    run_mode ~label:"grouped" ~wal_mode:Serve.Service.Grouped
-      ~scheduler:Serve.Service.Event
-  in
-  let private_ =
-    run_mode ~label:"private-always" ~wal_mode:Serve.Service.Private
-      ~scheduler:Serve.Service.Lockstep
-  in
+  let grouped = recover_mode ~label:"grouped" ~root:g_root g_run in
+  let private_ = recover_mode ~label:"private-always" ~root:p_root p_run in
   let row (label, o, rounds, idle, busy, closes, fsyncs, wall_ms, _) =
     [
       label;
@@ -1809,7 +1810,7 @@ let run_serveio () =
 
 let run_serveio_smoke () =
   run_serveio_grid ~name:"smoke" ~tenants:6 ~rows:12 ~horizon:30
-    ~limit_factor:1.2 ~repeat:2 ~ckpt_rows:250 ~ckpt_horizon:160 ()
+    ~limit_factor:1.2 ~repeat:9 ~ckpt_rows:250 ~ckpt_horizon:160 ()
 
 (* --- ho: first-order vs higher-order maintenance --------------------------- *)
 

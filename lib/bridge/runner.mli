@@ -20,8 +20,7 @@ type engine
     tables, pending queues, meter) plus the update feeds it draws concrete
     modifications from.  The runner holds no state of its own, so several
     engines can coexist in one process and several plans can be run against
-    one engine in sequence — the explicit handle is the seam a future
-    [abivm serve] multi-tenant front-end plugs into. *)
+    one engine in sequence. *)
 
 val engine :
   maintainer:Ivm.Maintainer.t -> feeds:Tpcr.Updates.feeds -> engine
@@ -35,7 +34,6 @@ val feeds : engine -> Tpcr.Updates.feeds
 
 val run_plan :
   ?monitor:Robust.Monitor.t ->
-  ?journal:Durable.Wal.t ->
   ?strategy:Abivm.Strategy.t ->
   engine ->
   Abivm.Spec.t ->
@@ -45,57 +43,12 @@ val run_plan :
     metered engine cost against the spec's prediction — drift detection
     over {e executed} costs, closing the loop on calibration staleness
     ([Robust.Replan] consumes the same monitor in simulation).
-    [journal] receives every drawn modification ([Durable.Record.Arrival],
-    committed once per step) and every processed batch
-    ([Durable.Record.Applied] with the metered cost, committed per
-    action) — a WAL of the run that [Durable.Recovery] can replay.
     [strategy] (default [Online None]) only labels the report.  Raises
     [Invalid_argument] if the plan asks to process more modifications
     than will be pending at any action time — checked {e before} any
     modification is drawn or processed, so a rejected plan leaves the
     engine (queues, feeds, meter) untouched and reusable.  The
     consistency check at the end is unmetered. *)
-
-(** {1 Resumable per-action stepping}
-
-    A {!stepper} executes the same run one time step at a time, so a
-    scheduler (e.g. [abivm serve]) can interleave many engines' plan
-    executions without dedicating a thread per run. *)
-
-type stepper
-
-type step_outcome = {
-  time : int;
-  action : Abivm.Statevec.t option;  (** the plan's action, if any *)
-  cost : float;  (** metered engine cost of that action *)
-}
-
-val start :
-  ?monitor:Robust.Monitor.t ->
-  ?journal:Durable.Wal.t ->
-  ?strategy:Abivm.Strategy.t ->
-  engine ->
-  Abivm.Spec.t ->
-  Abivm.Plan.t ->
-  stepper
-(** Validate the whole plan against the engine's current pending counts
-    plus the spec's arrival schedule, then return a stepper positioned
-    at step 0.  Raises [Invalid_argument] (before touching the engine)
-    if any plan action would exceed the pending count at its time, or
-    lies past the horizon. *)
-
-val step : stepper -> step_outcome option
-(** Execute the next time step: ingest its arrivals (journalled, one
-    commit) and run the plan's action at that step if any (journalled,
-    one commit).  [None] once the horizon has been passed. *)
-
-val next_step : stepper -> int
-val cost_so_far : stepper -> float
-val finished : stepper -> bool
-
-val finish : stepper -> Abivm.Report.t
-(** Run any remaining steps, then the final consistency check; the
-    report is identical to what {!run_plan} would have returned. *)
 
 val action_costs : Abivm.Report.t -> (int * float) list
 (** (time, measured cost units) per plan action, recovered from the
@@ -105,7 +58,3 @@ val action_costs : Abivm.Report.t -> (int * float) list
 val simulated_action_costs : Abivm.Report.t -> (int * float) list
 (** (time, simulated cost [f] of the action) — pairs with
     {!action_costs} for per-action Fig. 5 comparisons. *)
-
-val simulated_cost : Abivm.Spec.t -> Abivm.Plan.t -> float
-(** Convenience re-export of {!Abivm.Plan.cost} for side-by-side
-    comparison tables. *)

@@ -1,16 +1,20 @@
 (* Shared durability helper: fsync a directory so renames, unlinks and
-   newly created entries inside it survive power loss.  Best-effort —
-   some platforms refuse to open or fsync a directory, and losing the
-   *directory* entry is strictly less bad than losing the data the
-   callers already fsynced. *)
+   newly created entries inside it survive power loss.  A file system
+   that does not support syncing a directory answers EINVAL or
+   EOPNOTSUPP; that refusal is benign.  Any other error (a missing
+   directory, EIO, ENOSPC) means the entry may not be durable, and
+   swallowing it would let the caller report a commit that a crash can
+   undo, so it is raised. *)
 
 let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
+  let benign f =
+    try f () with Unix.Unix_error ((Unix.EINVAL | Unix.EOPNOTSUPP), _, _) -> ()
+  in
+  benign (fun () ->
+      let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+        (fun () -> Unix.fsync fd))
 
 let rec mkdirs dir =
   if not (Sys.file_exists dir) then begin

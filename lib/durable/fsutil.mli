@@ -1,7 +1,9 @@
 val fsync_dir : string -> unit
 (** Fsync a directory file descriptor so renames, unlinks and new
-    entries in it are durable.  Best-effort: errors opening or syncing
-    the directory are swallowed. *)
+    entries in it are durable.  [EINVAL] and [EOPNOTSUPP] (a file system
+    that will not fsync a directory) are ignored; every other
+    [Unix.Unix_error] opening or syncing the directory, [ENOENT] and
+    [EIO] included, is raised. *)
 
 val mkdirs : string -> unit
 (** [mkdir -p]: create the directory and any missing parents (mode

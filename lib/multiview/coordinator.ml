@@ -72,23 +72,10 @@ let charge ~views ~shared_setup batches =
   done;
   (per_view, !raw_total, !discounted_total, !joins)
 
-type progress = {
-  step : int;
-  pending : int array array;
-  rates : float array array;
-  spent : float array;
-  per_view : float array;
-  total : float;
-  undiscounted : float;
-  co_flushes : int;
-  valid : bool;
-}
-
 type sim_view = {
   spec : view_spec;
   pending : Abivm.Statevec.t;
   rates : float array;
-  mutable spent : float;
 }
 
 let refresh_cost view state =
@@ -130,69 +117,21 @@ let forced_action sim =
         rest;
       !best
 
-let snapshot_progress ~step ~(sims : sim_view array) ~per_view_total ~total
-    ~undiscounted ~joins ~valid =
-  {
-    step;
-    pending = Array.map (fun (sim : sim_view) -> Array.copy sim.pending) sims;
-    rates = Array.map (fun (sim : sim_view) -> Array.copy sim.rates) sims;
-    spent = Array.map (fun (sim : sim_view) -> sim.spent) sims;
-    per_view = Array.copy per_view_total;
-    total;
-    undiscounted;
-    co_flushes = joins;
-    valid;
-  }
-
-let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals ~coordinate () =
+let run ?pool ~views ~shared_setup ~arrivals ~coordinate () =
   let n = validate ~views ~shared_setup ~arrivals in
   let k = Array.length views in
   let horizon = Array.length arrivals - 1 in
-  (match from with
-  | Some p ->
-      if
-        Array.length p.pending <> k
-        || Array.length p.rates <> k
-        || Array.length p.spent <> k
-        || Array.length p.per_view <> k
-        || Array.exists (fun row -> Array.length row <> n) p.pending
-        || Array.exists (fun row -> Array.length row <> n) p.rates
-        || p.step < 0
-      then invalid_arg "Multiview: progress does not match this problem"
-  | None -> ());
   let sims =
-    Array.mapi
-      (fun v spec ->
-        match from with
-        | None ->
-            {
-              spec;
-              pending = Abivm.Statevec.zero n;
-              rates = Array.make n 0.0;
-              spent = 0.0;
-            }
-        | Some p ->
-            {
-              spec;
-              pending = Array.copy p.pending.(v);
-              rates = Array.copy p.rates.(v);
-              spent = p.spent.(v);
-            })
+    Array.map
+      (fun spec ->
+        { spec; pending = Abivm.Statevec.zero n; rates = Array.make n 0.0 })
       views
   in
-  let start, per_view_total, total, undiscounted, joins, valid =
-    match from with
-    | None -> (0, Array.make k 0.0, ref 0.0, ref 0.0, ref 0, ref true)
-    | Some p ->
-        ( p.step,
-          Array.copy p.per_view,
-          ref p.total,
-          ref p.undiscounted,
-          ref p.co_flushes,
-          ref p.valid )
-  in
+  let per_view_total = Array.make k 0.0 in
+  let total = ref 0.0 and undiscounted = ref 0.0 in
+  let joins = ref 0 and valid = ref true in
   let alpha = 0.2 in
-  for t = start to horizon do
+  for t = 0 to horizon do
     let d = arrivals.(t) in
     Array.iter
       (fun sim ->
@@ -262,9 +201,7 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
       charge ~views ~shared_setup batches
     in
     Array.iteri
-      (fun v c ->
-        per_view_total.(v) <- per_view_total.(v) +. c;
-        sims.(v).spent <- sims.(v).spent +. c)
+      (fun v c -> per_view_total.(v) <- per_view_total.(v) +. c)
       per_view;
     total := !total +. discounted;
     undiscounted := !undiscounted +. raw;
@@ -272,13 +209,7 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
     if step_joins > 0 then begin
       Telemetry.add "multiview.co_flushes" (float_of_int step_joins);
       Telemetry.add "multiview.discount_pocketed" (raw -. discounted)
-    end;
-    Option.iter
-      (fun f ->
-        f
-          (snapshot_progress ~step:(t + 1) ~sims ~per_view_total ~total:!total
-             ~undiscounted:!undiscounted ~joins:!joins ~valid:!valid))
-      on_step
+    end
   done;
   Array.iter
     (fun sim ->
@@ -293,8 +224,8 @@ let run ?(from : progress option) ?on_step ?pool ~views ~shared_setup ~arrivals 
     valid = !valid;
   }
 
-let independent ?from ?on_step ?pool ~views ~shared_setup ~arrivals () =
-  run ?from ?on_step ?pool ~views ~shared_setup ~arrivals ~coordinate:false ()
+let independent ?pool ~views ~shared_setup ~arrivals () =
+  run ?pool ~views ~shared_setup ~arrivals ~coordinate:false ()
 
-let piggyback ?from ?on_step ?pool ~views ~shared_setup ~arrivals () =
-  run ?from ?on_step ?pool ~views ~shared_setup ~arrivals ~coordinate:true ()
+let piggyback ?pool ~views ~shared_setup ~arrivals () =
+  run ?pool ~views ~shared_setup ~arrivals ~coordinate:true ()

@@ -27,19 +27,6 @@ let partitioned_arrivals e stream =
       counts)
     stream
 
-let replay_feeds ~n stream =
-  let queues = Array.init n (fun _ -> Queue.create ()) in
-  Array.iter
-    (List.iter (fun (i, change) -> Queue.push change queues.(i)))
-    stream;
-  {
-    Tpcr.Updates.next =
-      (fun i ->
-        if Queue.is_empty queues.(i) then
-          invalid_arg "Partition.Runner.replay_feeds: stream exhausted"
-        else Queue.pop queues.(i));
-  }
-
 type result = { cost_units : float; batches : int }
 
 let run e stream ~spec ~plan =

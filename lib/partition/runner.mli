@@ -7,12 +7,7 @@
     classifies it into the [2n]-wide matrix the spec is built from, and
     {!run} replays it step by step, applying the plan's per-partition
     batches.  Because the spec's arrivals come from the very stream being
-    replayed, plan validity transfers exactly.
-
-    {!replay_feeds} turns the same materialized stream back into ordinary
-    per-table feeds, so an unpartitioned baseline engine can consume the
-    bit-identical modifications (via [Bridge.Runner]) for apples-to-apples
-    executed-cost and view-content comparisons. *)
+    replayed, plan validity transfers exactly. *)
 
 type stream = (int * Ivm.Change.t) list array
 (** Per step, the drawn [(logical table, modification)]s in draw order. *)
@@ -25,10 +20,6 @@ val materialize :
 val partitioned_arrivals : Engine.t -> stream -> int array array
 (** Classify the stream with the engine's current splits into a
     [(horizon+1) × 2n] arrival matrix. *)
-
-val replay_feeds : n:int -> stream -> Tpcr.Updates.feeds
-(** Per-table FIFO replay of the same modifications; raises when a table's
-    stream is exhausted. *)
 
 type result = { cost_units : float; batches : int }
 

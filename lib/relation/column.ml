@@ -253,9 +253,3 @@ let codes c =
   match c.payload with
   | Strs p -> p.codes
   | Ints _ | Floats _ | Bools _ -> invalid_arg "Column.codes: not a string column"
-
-let dict_string c code =
-  match c.payload with
-  | Strs p -> Util.Vec.get p.dict code
-  | Ints _ | Floats _ | Bools _ ->
-      invalid_arg "Column.dict_string: not a string column"

@@ -58,9 +58,6 @@ val float_data : t -> float_ba
 val codes : t -> int_ba
 (** Dictionary codes of a [TString] column. *)
 
-val dict_string : t -> int -> string
-(** Decode one dictionary code. *)
-
 val bit : Bytes.t -> int -> bool
 val set_bit : Bytes.t -> int -> unit
 val clear_bit : Bytes.t -> int -> unit

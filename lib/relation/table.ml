@@ -144,11 +144,6 @@ let has_ordered_index t col =
   | None -> false
   | Some i -> Hashtbl.mem t.ordered_indexes (Schema.column_name t.schema i)
 
-let indexed_columns t =
-  List.sort_uniq String.compare
-    (List.of_seq (Hashtbl.to_seq_keys t.indexes)
-    @ List.of_seq (Hashtbl.to_seq_keys t.ordered_indexes))
-
 let range_lookup t col ?lo ?hi () =
   let col = canonical_column t col in
   match Hashtbl.find_opt t.ordered_indexes col with

@@ -49,7 +49,6 @@ val create_ordered_index : t -> string -> unit
 
 val has_index : t -> string -> bool
 val has_ordered_index : t -> string -> bool
-val indexed_columns : t -> string list
 
 val range_lookup :
   t -> string -> ?lo:Value.t -> ?hi:Value.t -> unit -> Tuple.t list

@@ -50,11 +50,3 @@ let as_float = function
   | Int x -> float_of_int x
   | Float x -> x
   | Str _ | Bool _ | Null -> invalid_arg "Value.as_float"
-
-let as_string = function
-  | Str s -> s
-  | Int _ | Float _ | Bool _ | Null -> invalid_arg "Value.as_string"
-
-let as_bool = function
-  | Bool b -> b
-  | Int _ | Float _ | Str _ | Null -> invalid_arg "Value.as_bool"

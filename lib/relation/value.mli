@@ -30,5 +30,3 @@ val as_int : t -> int
 val as_float : t -> float
 (** Numeric coercion: accepts [Int] and [Float]. *)
 
-val as_string : t -> string
-val as_bool : t -> bool

@@ -49,11 +49,6 @@ val cost_noise : seed:int -> amp:float -> Cost.Func.t array -> Cost.Func.t array
 (** Per-batch-size multiplicative noise via {!Cost.Func.jitter}; each
     table gets an independent noise stream split from [seed]. *)
 
-val cost_stale : rate:float -> Cost.Func.t array -> Cost.Func.t array
-(** Stale-calibration drift: true cost [f k * (1 + rate * log (1 + k))] —
-    error grows with batch size, as when a table kept growing after the
-    cost curve was measured.  [rate >= 0]. *)
-
 (** {1 Scenarios} *)
 
 type scenario = {

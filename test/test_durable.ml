@@ -31,6 +31,17 @@ let scratch () =
   rmtree dir;
   dir
 
+(* --- fsutil --------------------------------------------------------------- *)
+
+let test_fsync_dir_missing_raises () =
+  let dir = scratch () in
+  Durable.Fsutil.mkdirs dir;
+  Durable.Fsutil.fsync_dir dir;
+  rmtree dir;
+  match Durable.Fsutil.fsync_dir dir with
+  | () -> Alcotest.fail "fsync_dir on a missing directory must raise"
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 (* --- records -------------------------------------------------------------- *)
 
 let sample_change =
@@ -705,96 +716,14 @@ let test_genesis_recovery_and_refusal () =
       | Error e -> Alcotest.failf "verify after repeated resumes: %s" e);
   rmtree dir
 
-let test_runner_journal () =
-  let env = make_env ~seed:5 ~rows:100 ~horizon:8 () in
-  let m, feeds = env.Durable.Exec.fresh () in
-  let dir = scratch () in
-  let wal = Durable.Wal.open_ ~dir ~sync:Durable.Wal.Never () in
-  let report =
-    Bridge.Runner.run_plan ~journal:wal
-      (Bridge.Runner.engine ~maintainer:m ~feeds)
-      env.Durable.Exec.spec
-      env.Durable.Exec.plan
-  in
-  Durable.Wal.close wal;
-  let records = read_ok ~dir ~from_lsn:0 in
-  let arrivals_logged =
-    List.length
-      (List.filter
-         (function Durable.Record.Arrival _ -> true | _ -> false)
-         records)
-  in
-  let total_arrivals =
-    Array.fold_left
-      (fun acc row -> acc + Array.fold_left ( + ) 0 row)
-      0
-      (Abivm.Spec.arrivals env.Durable.Exec.spec)
-  in
-  checki "every drawn modification journalled" total_arrivals arrivals_logged;
-  let journalled_cost =
-    List.fold_left
-      (fun acc r ->
-        match r with
-        | Durable.Record.Applied { cost; _ } -> acc +. cost
-        | Durable.Record.Arrival _ -> acc)
-      0.0 records
-  in
-  let reported =
-    Option.value ~default:Float.nan report.Abivm.Report.cost_units
-  in
-  checkb "journalled action costs sum to the report" true
-    (Float.abs (journalled_cost -. reported) < 1e-9);
-  rmtree dir
-
-let test_coordinator_kill_resume () =
-  let views =
-    [|
-      { Multiview.Coordinator.name = "tight";
-        costs = [| Cost.Func.affine ~a:3.0 ~b:10.0 |];
-        limit = 45.0 };
-      { Multiview.Coordinator.name = "loose";
-        costs = [| Cost.Func.affine ~a:3.0 ~b:10.0 |];
-        limit = 150.0 };
-    |]
-  in
-  let arrivals = Array.make 61 [| 1 |] in
-  let shared_setup = [| 14.0 |] in
-  let straight =
-    Multiview.Coordinator.piggyback ~views ~shared_setup ~arrivals ()
-  in
-  let dir = scratch () in
-  (match
-     Durable.Coord.run_durable ~dir
-       ~hook:(function
-         | Durable.Hook.Step_start 30 -> raise (Durable.Hook.Crash "test kill")
-         | _ -> ())
-       ~views ~shared_setup ~arrivals ~coordinate:true ()
-   with
-  | _ -> Alcotest.fail "expected the injected crash"
-  | exception Durable.Hook.Crash _ -> ());
-  let resumed =
-    Durable.Coord.run_durable ~dir ~views ~shared_setup ~arrivals
-      ~coordinate:true ()
-  in
-  checkb "resumed outcome valid" true resumed.Multiview.Coordinator.valid;
-  checkb "total cost bit-identical" true
-    (Int64.bits_of_float resumed.Multiview.Coordinator.total_cost
-    = Int64.bits_of_float straight.Multiview.Coordinator.total_cost);
-  checki "co-flushes identical" straight.Multiview.Coordinator.co_flushes
-    resumed.Multiview.Coordinator.co_flushes;
-  (* Running again over the finished progress file is a no-op replay. *)
-  let again =
-    Durable.Coord.run_durable ~dir ~views ~shared_setup ~arrivals
-      ~coordinate:true ()
-  in
-  checkb "finished run replays to the same totals" true
-    (Int64.bits_of_float again.Multiview.Coordinator.total_cost
-    = Int64.bits_of_float straight.Multiview.Coordinator.total_cost);
-  rmtree dir
-
 let () =
   Alcotest.run "durable"
     [
+      ( "fsutil",
+        [
+          Alcotest.test_case "fsync_dir on a missing directory raises" `Quick
+            test_fsync_dir_missing_raises;
+        ] );
       ( "record",
         [
           Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
@@ -842,9 +771,5 @@ let () =
             test_async_checkpoint_matrix;
           Alcotest.test_case "genesis recovery, refusal, idempotence" `Quick
             test_genesis_recovery_and_refusal;
-          Alcotest.test_case "runner journals a replayable WAL" `Quick
-            test_runner_journal;
-          Alcotest.test_case "coordinator kill/resume" `Quick
-            test_coordinator_kill_resume;
         ] );
     ]

@@ -118,6 +118,41 @@ let test_per_view_costs_sum_to_undiscounted () =
   checkb "per-view sums to raw total" true
     (Float.abs (sum -. out.Multiview.Coordinator.undiscounted_cost) < 1e-6)
 
+let test_pinned_outcomes () =
+  (* A seeded three-view, two-table instance whose outcomes were recorded
+     from an earlier build: the run loop must keep reproducing them bit
+     for bit, with and without a domain pool. *)
+  let g = Util.Prng.create ~seed:2005 in
+  let arrivals =
+    Array.init 151 (fun _ -> Array.init 2 (fun _ -> Util.Prng.int g 3))
+  in
+  let steep = Cost.Func.affine ~a:3.0 ~b:10.5 in
+  let mild = Cost.Func.affine ~a:1.25 ~b:6.75 in
+  let views =
+    [|
+      view "tight" [| steep; mild |] 60.0;
+      view "mid" [| mild; steep |] 140.0;
+      view "loose" [| steep; steep |] 230.0;
+    |]
+  in
+  let shared_setup = [| 14.5; 9.25 |] in
+  let check label ~bits ~co_flushes (out : Multiview.Coordinator.outcome) =
+    checkb (label ^ " valid") true out.valid;
+    Alcotest.check Alcotest.int64 (label ^ " total_cost bits") bits
+      (Int64.bits_of_float out.total_cost);
+    Alcotest.check Alcotest.int (label ^ " co_flushes") co_flushes
+      out.co_flushes
+  in
+  let run ?pool label =
+    check (label ^ "independent") ~bits:4657401512887058432L ~co_flushes:6
+      (Multiview.Coordinator.independent ?pool ~views ~shared_setup ~arrivals
+         ());
+    check (label ^ "piggyback") ~bits:4657362480224272384L ~co_flushes:9
+      (Multiview.Coordinator.piggyback ?pool ~views ~shared_setup ~arrivals ())
+  in
+  run "";
+  Parallel.Pool.with_pool ~domains:2 (fun pool -> run ~pool "pooled ")
+
 let () =
   Alcotest.run "multiview"
     [
@@ -135,5 +170,7 @@ let () =
             test_piggyback_never_worse_with_zero_discount;
           Alcotest.test_case "per-view sums" `Quick
             test_per_view_costs_sum_to_undiscounted;
+          Alcotest.test_case "pinned outcomes are bit-identical" `Quick
+            test_pinned_outcomes;
         ] );
     ]
